@@ -9,9 +9,14 @@ from source (Release) into $CARGO_TARGET_DIR/perfbench, or
 .bench_build/perfbench when the variable is unset; later runs rebuild only
 what changed. The benchmark's result is the last line of standard output.
 --selftest builds and runs the benchmark's own unit tests instead.
+
+For a workload that BENCHMARK.json lists, the result must hold exactly the
+manifest's metrics (end_to_end with --trace 0, per_layer with --trace 1) in
+their units; otherwise the run exits with code 1.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +47,32 @@ def build(build_dir, target):
     return os.path.join(build_dir, target)
 
 
+def manifest_mismatch(stdout, workload, trace):
+    """What the result line lacks against BENCHMARK.json, or None."""
+    path = os.path.join(ROOT, "BENCHMARK.json")
+    if not os.path.isfile(path):
+        return None
+    with open(path) as f:
+        manifest = json.load(f)
+    if workload not in {w["name"] for w in manifest["workloads"]}:
+        return None
+    section = "per_layer" if trace == "1" else "end_to_end"
+    wanted = {m["name"]: m["unit"] for m in manifest[section]}
+    lines = stdout.strip().splitlines()
+    try:
+        metrics = json.loads(lines[-1])["metrics"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        return "the last line is not a result object"
+    got = {name: m.get("unit") for name, m in metrics.items()}
+    if got != wanted:
+        missing = sorted(set(wanted) - set(got))
+        extra = sorted(set(got) - set(wanted))
+        units = sorted(n for n in set(got) & set(wanted) if got[n] != wanted[n])
+        return (f"{section} metrics differ from BENCHMARK.json: missing {missing}, "
+                f"not listed {extra}, other unit {units}")
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
@@ -69,10 +100,18 @@ def main():
         cmd += ["--trace-out",
                 os.path.join(trace_dir, f"{args.workload}-seed{args.seed}.csv")]
     try:
-        result = subprocess.run(cmd, cwd=ROOT, timeout=RUN_TIMEOUT_S)
+        result = subprocess.run(cmd, cwd=ROOT, timeout=RUN_TIMEOUT_S,
+                                stdout=subprocess.PIPE, text=True)
     except subprocess.TimeoutExpired:
         fail(f"run exceeded {RUN_TIMEOUT_S} s")
-    sys.exit(result.returncode)
+    sys.stdout.write(result.stdout)
+    sys.stdout.flush()
+    if result.returncode != 0:
+        sys.exit(result.returncode)
+    mismatch = manifest_mismatch(result.stdout, args.workload, args.trace)
+    if mismatch:
+        print(f"perfbench: {mismatch}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

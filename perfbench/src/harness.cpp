@@ -9,7 +9,9 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
+#include "core/cpu_task_executor.h"
 #include "core/hybrid.h"
 #include "minimpi/minimpi.h"
 #include "rrc/rrc_batch.h"
@@ -40,6 +42,7 @@ hs::apec::CalcOptions kernel_options(const GridParams& g) {
 }
 
 constexpr std::size_t kMinimpiRuns = 40;
+constexpr std::size_t kCsvSpans = 200000;
 
 /// Seconds taken by `fn`, recorded as a span when the log is on.
 template <class F>
@@ -161,9 +164,6 @@ PointLayers probe_point_layers(const Model& m,
   PointLayers out;
   const std::size_t n_bins = m.grid.bin_count();
   const auto& edges = m.grid.edges();
-  const auto& pol = m.calc.options().integration;
-  hs::vgpu::ScratchArena arena;
-  std::vector<double> emi(n_bins);
 
   for (const hs::apec::GridPoint& p : pts) {
     ++out.points;
@@ -180,50 +180,35 @@ PointLayers probe_point_layers(const Model& m,
     });
 
     hs::apec::Spectrum spectrum(m.grid);
+    hs::apec::Spectrum lines_scratch(m.grid);
     for (const hs::core::SpectralTask& task : tasks) {
+      const double task_s =
+          timed(log, Layer::kernel, "execute_task_degraded", root.id(), [&] {
+            (void)hs::core::execute_task_degraded(m.calc, task, pops, spectrum);
+          });
       if (task.ion.is_free_free() || !task.ion.emits_rrc()) {
-        out.other_s += timed(log, Layer::apec, "accumulate_ion", root.id(), [&] {
-          m.calc.accumulate_ion(task.ion, pops, spectrum);
-        });
+        out.other_s += task_s;
         continue;
       }
-      // The loop of core::execute_task_degraded, with the integrand
-      // evaluations counted: one task's RRC levels through the batched host
-      // kernel, which is bitwise the body every device launch runs.
-      const auto levels = m.db.levels_for(task.ion);
+      // The task adds the ion's lines after its bins; timing them apart
+      // leaves the kernel's share.
+      double lines_s = 0.0;
       const bool per_level =
           task.granularity == hs::core::TaskGranularity::level;
+      if (!per_level || task.level_index == 0) {
+        lines_s = timed(log, Layer::apec, "accumulate_ion_lines", root.id(), [&] {
+          m.calc.accumulate_ion_lines(task.ion, pops, lines_scratch);
+        });
+      }
+      out.lines_s += lines_s;
+      out.kernel_s += task_s - lines_s;
+
+      const auto levels = m.db.levels_for(task.ion);
       const std::size_t lo = per_level ? task.level_index : 0;
       const std::size_t hi = per_level ? task.level_index + 1 : levels.size();
-      const hs::rrc::PlasmaState plasma{
-          pops.kT_keV, pops.ne_cm3, pops.ion_density(task.ion.z, task.ion.charge)};
-      out.kernel_s += timed(log, Layer::kernel, "integr_edges_host", root.id(), [&] {
-        std::fill(emi.begin(), emi.end(), 0.0);
-        for (std::size_t li = lo; li < hi; ++li) {
-          hs::rrc::RrcChannel ch;
-          ch.recombining_charge = task.ion.charge;
-          ch.level = levels[li];
-          ch.gaunt_correction = m.calc.options().gaunt_correction;
-          hs::vgpu::IntegrLaunchConfig cfg;
-          cfg.method = pol.kernel;
-          cfg.method_param = pol.kernel_param;
-          cfg.accumulate = true;
-          cfg.lower_cutoff = ch.level.binding_keV;
-          const hs::rrc::RrcBatchIntegrand f(ch, plasma);
-          auto counted = [&](std::span<const double> xs, std::span<double> ys) {
-            out.evals += xs.size();
-            f(xs, ys);
-          };
-          hs::vgpu::integr_edges_host(edges, n_bins, counted, emi, arena, cfg);
-          arena.reset();
-          for (std::size_t b = 0; b < n_bins; ++b)
-            if (edges[b + 1] > ch.level.binding_keV) ++out.bins;
-        }
-      });
-      if (!per_level || task.level_index == 0) {
-        out.lines_s += timed(log, Layer::apec, "accumulate_ion_lines", root.id(),
-                             [&] { m.calc.accumulate_ion_lines(task.ion, pops, spectrum); });
-      }
+      for (std::size_t li = lo; li < hi; ++li)
+        for (std::size_t b = 0; b < n_bins; ++b)
+          if (edges[b + 1] > levels[li].binding_keV) ++out.bins;
     }
   }
   return out;
@@ -333,9 +318,6 @@ void add_metric(Result& r, std::string name, double value, std::string unit,
 void add_probe_metrics(Result& r, const PointLayers& pl, double launch_speedup,
                        double minimpi_run_s) {
   const double n = static_cast<double>(pl.points);
-  add_metric(r, "kernel.evals_per_bin",
-             static_cast<double>(pl.evals) / static_cast<double>(pl.bins),
-             "count", pl.bins);
   add_metric(r, "kernel.bin_integrals_per_s",
              static_cast<double>(pl.bins) / pl.kernel_s, "1/s", pl.bins);
   add_metric(r, "apec.serial_s_per_point", pl.serial_s / n, "s", pl.points);
@@ -349,9 +331,10 @@ void add_probe_metrics(Result& r, const PointLayers& pl, double launch_speedup,
 }
 
 void add_trace_metrics(Result& r, const std::vector<Span>& spans,
-                       const char* root_name, double untraced_rate,
-                       double traced_rate, std::size_t dropped,
-                       const std::string& path) {
+                       const char* root_name,
+                       const std::vector<double>& untraced_rates,
+                       const std::vector<double>& traced_rates,
+                       std::size_t dropped, const std::string& path) {
   const LayerTimes lt = layer_times(spans, root_name);
   std::size_t roots = 0;
   for (const Span& s : spans)
@@ -365,14 +348,20 @@ void add_trace_metrics(Result& r, const std::vector<Span>& spans,
                          : 0.0,
                "s", roots);
   }
-  add_metric(r, "trace.overhead_frac",
-             (untraced_rate - traced_rate) / untraced_rate, "ratio");
+  const std::size_t pairs = std::min(untraced_rates.size(), traced_rates.size());
+  if (pairs == 0)
+    throw std::runtime_error("trace: window too short for a traced/untraced pair");
+  add_metric(r, "trace.overhead_frac", paired_overhead(untraced_rates, traced_rates),
+             "ratio", pairs);
   r.notes.push_back("trace: " + std::to_string(spans.size()) +
                     " spans recorded, " + std::to_string(dropped) +
                     " dropped past the per-thread capacity");
   if (!path.empty()) {
-    write_spans_csv(path, spans);
-    r.notes.push_back("trace: spans written to " + path);
+    // service_hot records ~10^5 spans a second; the file keeps the first
+    // kCsvSpans of them (tens of MB), the analysis above used them all.
+    const std::size_t n = std::min(spans.size(), kCsvSpans);
+    write_spans_csv(path, {spans.begin(), spans.begin() + static_cast<std::ptrdiff_t>(n)});
+    r.notes.push_back("trace: " + std::to_string(n) + " spans written to " + path);
   }
 }
 

@@ -90,18 +90,19 @@ class Watchdog {
 
 /// Single-thread cost of one grid point, layer by layer, over `points`:
 /// the serial calculator, then the same work split into the calls the
-/// executor makes — population solve, task building, the batched host
-/// kernel (bitwise the device body) and the line list.
+/// executor makes — population solve, task building, and every task through
+/// core::execute_task_degraded, the program's host mirror of a device task
+/// (the device kernel's per-bin rule, then the ion's lines).
 struct PointLayers {
   std::size_t points = 0;
   double serial_s = 0.0;      ///< SpectrumCalculator::calculate
   double solve_s = 0.0;       ///< apec::solve_populations
   double make_tasks_s = 0.0;  ///< core::make_tasks
-  double kernel_s = 0.0;      ///< vgpu::integr_edges_host (batched RRC)
+  /// execute_task_degraded on RRC tasks, less their lines (timed apart)
+  double kernel_s = 0.0;
   double lines_s = 0.0;       ///< SpectrumCalculator::accumulate_ion_lines
-  double other_s = 0.0;       ///< free-free and non-RRC units
-  std::uint64_t bins = 0;     ///< bin integrals above the level edge
-  std::uint64_t evals = 0;    ///< integrand evaluations
+  double other_s = 0.0;       ///< execute_task_degraded on free-free and non-RRC units
+  std::uint64_t bins = 0;     ///< bin integrals above the RRC level edges
   double layer_work_s() const {
     return solve_s + make_tasks_s + kernel_s + lines_s + other_s;
   }
@@ -129,11 +130,13 @@ void add_probe_metrics(Result& r, const PointLayers& pl, double launch_speedup,
 
 /// Tracing metrics: per-layer self time and share over the request trees
 /// rooted at `root_name`, and the overhead of tracing on the workload's
-/// throughput (untraced minus traced, as a share of untraced).
+/// throughput from alternating untraced and traced stretches of the run
+/// (see paired_overhead).
 void add_trace_metrics(Result& r, const std::vector<Span>& spans,
-                       const char* root_name, double untraced_rate,
-                       double traced_rate, std::size_t dropped,
-                       const std::string& path);
+                       const char* root_name,
+                       const std::vector<double>& untraced_rates,
+                       const std::vector<double>& traced_rates,
+                       std::size_t dropped, const std::string& path);
 
 void add_metric(Result& r, std::string name, double value, std::string unit,
                 std::size_t samples = 0);

@@ -1,15 +1,16 @@
 // perfbench — the repository's end-to-end benchmark.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
-//             [--trace-out FILE.csv] [--deadline SECONDS]
+//             [--trace-out FILE.csv]
 //
 // Prints one line per metric (name, value, unit, samples) and, as the last
 // line of standard output, one JSON object:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 // --trace 0 reports the end-to-end metrics; --trace 1 runs the workload
-// half untraced and half traced, then times each layer and reports the
-// per-layer metrics.
+// with tracing switched on and off in alternate stretches, then times each
+// layer and reports the per-layer metrics.
 
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -21,7 +22,7 @@ namespace {
 
 int usage() {
   std::cerr << "usage: perfbench --workload NAME --seed N --seconds S "
-               "--trace 0|1 [--trace-out FILE] [--deadline SECONDS]\nworkloads:";
+               "--trace 0|1 [--trace-out FILE]\nworkloads:";
   for (const auto& w : perfbench::workloads()) std::cerr << ' ' << w.name;
   std::cerr << '\n';
   return 2;
@@ -51,8 +52,6 @@ int main(int argc, char** argv) {
         have_trace = true;
       } else if (flag == "--trace-out") {
         opt.trace_path = value;
-      } else if (flag == "--deadline") {
-        opt.request_deadline_s = std::stod(value);
       } else {
         return usage();
       }
@@ -73,6 +72,14 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::cerr << "perfbench: " << name << " failed: " << e.what() << '\n';
     return 1;
+  }
+
+  for (const auto& m : r.metrics) {
+    if (!std::isfinite(m.value)) {  // JSON has no spelling for it
+      std::cerr << "perfbench: " << name << ": metric " << m.name
+                << " is not finite\n";
+      return 1;
+    }
   }
 
   for (const std::string& note : r.notes) std::printf("# %s\n", note.c_str());

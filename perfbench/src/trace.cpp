@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "stats.h"
+
 namespace perfbench {
 
 const char* layer_name(Layer layer) {
@@ -116,6 +118,15 @@ LayerTimes layer_times(const std::vector<Span>& spans, const char* root_name) {
     if (r == i) out.root_s += spans[i].seconds();
   }
   return out;
+}
+
+double paired_overhead(const std::vector<double>& untraced_rates,
+                       const std::vector<double>& traced_rates) {
+  const std::size_t n = std::min(untraced_rates.size(), traced_rates.size());
+  std::vector<double> diffs;
+  for (std::size_t i = 0; i < n; ++i)
+    diffs.push_back((untraced_rates[i] - traced_rates[i]) / untraced_rates[i]);
+  return median(std::move(diffs));
 }
 
 void write_spans_csv(const std::string& path, const std::vector<Span>& spans) {

@@ -89,6 +89,14 @@ struct LayerTimes {
 /// Per-layer self time over the trees whose root span is named `root_name`.
 LayerTimes layer_times(const std::vector<Span>& spans, const char* root_name);
 
+/// Tracing overhead from a run whose untraced and traced stretches
+/// alternate: the median over pairs (untraced_rates[i], traced_rates[i]) of
+/// (untraced - traced) / untraced, on rates where higher is better. Pairing
+/// neighbouring stretches keeps the host's drift out of the difference.
+/// Pairs past the shorter list are ignored; no pair at all throws.
+double paired_overhead(const std::vector<double>& untraced_rates,
+                       const std::vector<double>& traced_rates);
+
 /// Write spans as CSV (id,parent,request,layer,name,t0_ns,t1_ns).
 void write_spans_csv(const std::string& path, const std::vector<Span>& spans);
 

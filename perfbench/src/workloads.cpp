@@ -123,14 +123,15 @@ std::vector<std::size_t> hot_request(const HotWorkload& w, Rng& rng) {
 namespace {
 
 constexpr std::size_t kSpanCapacity = 50000;  // per thread
-
-/// In traced mode the window runs twice: untraced, then traced, each for
-/// half the time. Returns the durations of the two halves (the first is 0
-/// in untraced mode).
-std::pair<double, double> window_halves(const RunOptions& opt) {
-  return opt.trace ? std::make_pair(opt.seconds / 2, opt.seconds / 2)
-                   : std::make_pair(0.0, opt.seconds);
-}
+/// service_hot answers ~45k requests/s per client, two spans each: room for
+/// about 11 traced seconds per client; later spans are counted as dropped.
+constexpr std::size_t kHotSpanCapacity = std::size_t{1} << 20;
+/// Set-ups per run; setup_s is their median. The executor workloads and
+/// service_hot measure an equal share of the window on each instance set
+/// up, so that no one instance's thread placement or memory layout sets
+/// the result.
+constexpr int kSetupRepeats = 3;
+constexpr double kRequestDeadlineS = 60.0;  // a later reply ends the run
 
 void check_reference_sample(const Model& m, const std::vector<GridPoint>& pts,
                             const std::vector<std::vector<double>>& spectra,
@@ -154,171 +155,70 @@ void finish(Result& res, const Counters& counters) {
   res.correct = res.failed == 0;
 }
 
-}  // namespace
+double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
-// ---- survey_cold / paper_sync_level -------------------------------------------
-
-Result run_batch_workload(const BatchWorkload& w, const RunOptions& opt) {
-  Result res;
-  Counters counters;
-  Watchdog dog(opt.request_deadline_s, counters, 1);
-  SurveyGenerator gen(w.points, stream_seed(opt.seed, 1));
-
-  std::unique_ptr<Model> model;  // declared first: outlives the executor
-  std::unique_ptr<hs::core::HybridExecutor> exec;
-  std::vector<double> setup;
-  for (int r = 0; r < opt.setup_repeats; ++r) {
-    exec.reset();
-    model.reset();
-    const std::int64_t t0 = now_ns();
-    model = std::make_unique<Model>(w.grid);
-    exec = std::make_unique<hs::core::HybridExecutor>(model->calc,
-                                                       hybrid_config(w.exec));
-    dog.arm(0);
-    (void)exec->run_batch(gen.next_batch(w.warmup_points));
-    dog.disarm(0);
-    setup.push_back(seconds_between(t0, now_ns()));
-  }
-
-  struct Totals {
-    double busy_s = 0.0;
-    std::size_t points = 0;
-    std::size_t batches = 0;
-  };
+/// Executor counters of the window's run_batch calls.
+struct StreamCounters {
+  std::size_t points = 0, batches = 0;
+  double busy_s = 0.0;
   std::uint64_t kernels = 0, h2d = 0, saved = 0, tasks = 0, fallbacks = 0,
                 cas = 0, steals = 0;
   std::vector<double> sched_p50, vms, wall_over_virtual;
-  std::vector<GridPoint> done_points;
-  std::vector<std::vector<double>> done_spectra;
-  SpanLog log(false, 1, kSpanCapacity);
-  std::uint64_t batch_id = 0;
 
-  auto window = [&](double seconds) {
-    Totals t;
-    const std::int64_t end = now_ns() + static_cast<std::int64_t>(seconds * 1e9);
-    while (now_ns() < end) {
-      const std::vector<GridPoint> batch = gen.next_batch(w.batch_points);
-      ScopedSpan it(log, Layer::bench, "iteration", kNoSpan, ++batch_id);
-      ++counters.attempted;
-      hs::core::HybridResult r;
-      dog.arm(0);
-      const std::int64_t t0 = now_ns();
-      try {
-        ScopedSpan s(log, Layer::core, "run_batch", it.id(), batch_id);
-        r = exec->run_batch(batch);
-      } catch (const std::exception& e) {
-        dog.disarm(0);
-        ++counters.failed;
-        res.notes.push_back(std::string("run_batch threw: ") + e.what());
-        continue;
-      }
-      const double wall = seconds_between(t0, now_ns());
-      dog.disarm(0);
-      t.busy_s += wall;
-      t.points += batch.size();
-      ++t.batches;
-
-      bool ok = r.spectra.size() == batch.size();
-      for (std::size_t i = 0; ok && i < batch.size(); ++i) {
-        ok = all_finite(r.spectra[i]);
-        done_points.push_back(batch[i]);
-        done_spectra.push_back(r.spectra[i].values());
-      }
-      if (!ok) ++counters.failed;
-
-      for (const auto& d : r.device_stats) {
-        kernels += d.kernels_launched;
-        h2d += d.bytes_h2d;
-        saved += d.bytes_h2d_saved;
-      }
-      tasks += r.tasks_total;
-      fallbacks += static_cast<std::uint64_t>(r.scheduling.cpu_fallbacks);
-      cas += static_cast<std::uint64_t>(r.scheduling.cas_retries);
-      steals += r.pipeline.steals;
-      sched_p50.push_back(r.sched.median_ns());
-      vms.push_back(r.virtual_makespan_s);
-      wall_over_virtual.push_back(wall / r.virtual_makespan_s);
+  void add(const hs::core::HybridResult& r, std::size_t n, double wall) {
+    busy_s += wall;
+    points += n;
+    ++batches;
+    for (const auto& d : r.device_stats) {
+      kernels += d.kernels_launched;
+      h2d += d.bytes_h2d;
+      saved += d.bytes_h2d_saved;
     }
-    return t;
-  };
-
-  const auto [first_s, second_s] = window_halves(opt);
-  const Totals untraced = opt.trace ? window(first_s) : Totals{};
-  log.set_enabled(opt.trace);
-  const Totals main = window(second_s);
-  log.set_enabled(false);
-
-  check_reference_sample(*model, done_points, done_spectra, opt.seed, 2,
-                         counters, res);
-
-  const Totals all{untraced.busy_s + main.busy_s, untraced.points + main.points,
-                   untraced.batches + main.batches};
-  const double points_per_s = static_cast<double>(all.points) / all.busy_s;
-  if (!opt.trace) {
-    add_metric(res, "setup_s", median(setup), "s", setup.size());
-    add_metric(res, "peak_rss_mb", peak_rss_mb(), "MB");
-    add_metric(res, "points_per_s", points_per_s, "1/s", all.batches);
-    res.notes.push_back("points: " + std::to_string(all.points) + " in " +
-                        std::to_string(all.batches) + " batches of " +
-                        std::to_string(w.batch_points));
-  } else {
-    SpanLog probe_log(true, 2, kSpanCapacity);
-    SurveyGenerator probe_gen(w.points, stream_seed(opt.seed, 2));
-    const PointLayers pl = probe_point_layers(
-        *model, probe_gen.next_batch(w.probe_points), w.exec.granularity,
-        probe_log);
-    add_probe_metrics(res, pl, probe_launch_speedup(*model, w.exec.ranks, probe_log),
-                      probe_minimpi_run_s(w.exec.ranks, probe_log));
-
-    const double n = static_cast<double>(all.points);
-    const double wall_per_point = 1.0 / points_per_s;
-    const double layer_per_point = pl.layer_work_s() / static_cast<double>(pl.points);
-    add_metric(res, "vgpu.kernels_per_point", static_cast<double>(kernels) / n, "count", all.batches);
-    add_metric(res, "vgpu.h2d_bytes_per_point", static_cast<double>(h2d) / n, "B", all.batches);
-    add_metric(res, "vgpu.virtual_makespan_s", median(vms), "s", vms.size());
-    add_metric(res, "vgpu.wall_over_virtual", median(wall_over_virtual), "ratio", vms.size());
-    add_metric(res, "core.rank_wait_frac",
-               1.0 - layer_per_point / (wall_per_point * w.exec.ranks), "ratio");
-    add_metric(res, "core.parallel_speedup",
-               pl.serial_s / static_cast<double>(pl.points) / wall_per_point, "ratio");
-    add_metric(res, "core.sched_decision_p50_ns", median(sched_p50), "ns", sched_p50.size());
-    add_metric(res, "core.tasks_per_point", static_cast<double>(tasks) / n, "count", all.batches);
-    add_metric(res, "core.cpu_fallback_frac",
-               static_cast<double>(fallbacks) / static_cast<double>(tasks), "ratio", tasks);
-    add_metric(res, "core.cas_retries_per_task",
-               static_cast<double>(cas) / static_cast<double>(tasks), "ratio", tasks);
-    add_metric(res, "core.steals_per_batch",
-               static_cast<double>(steals) / static_cast<double>(all.batches), "count", all.batches);
-    add_metric(res, "core.h2d_saved_frac",
-               static_cast<double>(saved) / static_cast<double>(h2d + saved), "ratio");
-
-    std::vector<Span> spans = log.spans();
-    spans.insert(spans.end(), probe_log.spans().begin(), probe_log.spans().end());
-    add_trace_metrics(res, spans, "iteration",
-                      static_cast<double>(untraced.points) / untraced.busy_s,
-                      static_cast<double>(main.points) / main.busy_s,
-                      log.dropped() + probe_log.dropped(), opt.trace_path);
+    tasks += r.tasks_total;
+    fallbacks += static_cast<std::uint64_t>(r.scheduling.cpu_fallbacks);
+    cas += static_cast<std::uint64_t>(r.scheduling.cas_retries);
+    steals += r.pipeline.steals;
+    sched_p50.push_back(r.sched.median_ns());
+    vms.push_back(r.virtual_makespan_s);
+    wall_over_virtual.push_back(wall / r.virtual_makespan_s);
   }
-  finish(res, counters);
-  return res;
+};
+
+/// Per-layer metrics of the executor (vgpu and core). A window that ran no
+/// executor batch (service_hot: every request hits) reports them as 0.
+void add_stream_metrics(Result& res, const StreamCounters& s,
+                        const PointLayers& pl, int ranks) {
+  const double n = static_cast<double>(s.points);
+  const double tasks = static_cast<double>(s.tasks);
+  const double wall_per_point = ratio(s.busy_s, n);
+  const double layer_per_point = pl.layer_work_s() / static_cast<double>(pl.points);
+  const auto med = [](const std::vector<double>& v) { return v.empty() ? 0.0 : median(v); };
+  add_metric(res, "vgpu.kernels_per_point", ratio(static_cast<double>(s.kernels), n), "count",
+             s.batches);
+  add_metric(res, "vgpu.h2d_bytes_per_point", ratio(static_cast<double>(s.h2d), n), "B", s.batches);
+  add_metric(res, "vgpu.virtual_makespan_s", med(s.vms), "s", s.vms.size());
+  add_metric(res, "vgpu.wall_over_virtual", med(s.wall_over_virtual), "ratio", s.vms.size());
+  add_metric(res, "core.rank_wait_frac",
+             s.batches > 0 ? 1.0 - layer_per_point / (wall_per_point * ranks) : 0.0, "ratio");
+  add_metric(res, "core.parallel_speedup",
+             ratio(pl.serial_s / static_cast<double>(pl.points), wall_per_point), "ratio");
+  add_metric(res, "core.sched_decision_p50_ns", med(s.sched_p50), "ns", s.sched_p50.size());
+  add_metric(res, "core.tasks_per_point", ratio(tasks, n), "count", s.batches);
+  add_metric(res, "core.cpu_fallback_frac", ratio(static_cast<double>(s.fallbacks), tasks),
+             "ratio", s.tasks);
+  add_metric(res, "core.cas_retries_per_task", ratio(static_cast<double>(s.cas), tasks),
+             "ratio", s.tasks);
+  add_metric(res, "core.steals_per_batch",
+             ratio(static_cast<double>(s.steals), static_cast<double>(s.batches)), "count",
+             s.batches);
+  add_metric(res, "core.h2d_saved_frac",
+             ratio(static_cast<double>(s.saved), static_cast<double>(s.h2d + s.saved)),
+             "ratio");
 }
 
-// ---- fit_mixed ------------------------------------------------------------------
-
-namespace {
-
-hs::service::ServiceConfig service_config(const ExecParams& e,
-                                          std::size_t max_batch_points,
-                                          std::size_t cache_capacity) {
-  hs::service::ServiceConfig cfg;
-  cfg.hybrid = hybrid_config(e);
-  cfg.max_batch_points = max_batch_points;
-  cfg.cache.capacity = cache_capacity;
-  return cfg;
-}
-
-/// Per-layer metrics of the service stream, shared by fit_mixed and
-/// service_hot.
+/// Per-layer metrics of the service stream, shared by every workload: a
+/// workload that calls the executor directly (survey_cold) bypasses the
+/// service, and its queue, hit and batching figures read 0.
 struct ServiceSamples {
   LatencyHistogram queue_wait_s;
   std::vector<double> batch_points;  ///< of requests that missed
@@ -339,30 +239,159 @@ struct ServiceSamples {
   }
 };
 
+/// `batches` and `coalesced` count the executor batches the service
+/// dispatched in the window and those fed by two requests or more.
 void add_service_metrics(Result& res, const ServiceSamples& s,
-                         const hs::service::SpectralService::Telemetry& before,
-                         const hs::service::SpectralService::Telemetry& after,
+                         std::uint64_t batches, std::uint64_t coalesced,
                          const hs::service::GridCacheConfig& cache_cfg,
                          const std::vector<GridPoint>& lookup_points,
                          std::size_t bins, SpanLog& log) {
   const LatencyHistogram& qw = s.queue_wait_s;
-  add_metric(res, "service.queue_wait_p50_s", qw.quantile(0.5), "s", qw.count());
-  add_metric(res, "service.queue_wait_p99_s", qw.quantile(0.99), "s", qw.count());
+  const auto wait = [&qw](double q) { return qw.count() > 0 ? qw.quantile(q) : 0.0; };
+  add_metric(res, "service.queue_wait_p50_s", wait(0.5), "s", qw.count());
+  add_metric(res, "service.queue_wait_p99_s", wait(0.99), "s", qw.count());
   add_metric(res, "service.cache_lookup_ns",
              probe_cache_lookup_ns(cache_cfg, lookup_points, bins, log), "ns");
   add_metric(res, "service.cache_hit_frac",
-             static_cast<double>(s.hits) / static_cast<double>(s.points), "ratio", s.points);
+             ratio(static_cast<double>(s.hits), static_cast<double>(s.points)), "ratio",
+             s.points);
   add_metric(res, "service.batch_points_mean",
              s.batch_points.empty() ? 0.0 : mean(s.batch_points),
              "count", s.batch_points.size());
-  const double batches = static_cast<double>(after.batches - before.batches);
   add_metric(res, "service.coalesced_batch_frac",
-             batches > 0 ? static_cast<double>(after.coalesced_batches -
-                                               before.coalesced_batches) / batches
-                         : 0.0,
-             "ratio", static_cast<std::size_t>(batches));
+             ratio(static_cast<double>(coalesced), static_cast<double>(batches)),
+             "ratio", batches);
 }
 
+}  // namespace
+
+// ---- survey_cold / paper_sync_level -------------------------------------------
+
+Result run_batch_workload(const BatchWorkload& w, const RunOptions& opt) {
+  Result res;
+  Counters counters;
+  Watchdog dog(kRequestDeadlineS, counters, 1);
+  SurveyGenerator gen(w.points, stream_seed(opt.seed, 1));
+
+  StreamCounters stream;
+  std::vector<double> batch_s;
+  std::vector<double> untraced_rates, traced_rates;
+  std::vector<GridPoint> done_points;
+  std::vector<std::vector<double>> done_spectra;
+  SpanLog log(false, 1, kSpanCapacity);
+  std::uint64_t batch_id = 0;
+
+  std::unique_ptr<Model> model;  // declared first: outlives the executor
+  std::unique_ptr<hs::core::HybridExecutor> exec;
+  std::vector<double> setup;
+  for (int r = 0; r < kSetupRepeats; ++r) {
+    exec.reset();
+    model.reset();
+    const std::int64_t t0 = now_ns();
+    model = std::make_unique<Model>(w.grid);
+    exec = std::make_unique<hs::core::HybridExecutor>(model->calc,
+                                                       hybrid_config(w.exec));
+    dog.arm(0);
+    (void)exec->run_batch(gen.next_batch(w.warmup_points));
+    dog.disarm(0);
+    setup.push_back(seconds_between(t0, now_ns()));
+
+    // Each executor set up runs an equal share of the window. A traced run
+    // traces every second batch, so each traced batch has an untraced
+    // neighbour to be compared with; its last share runs until it has one
+    // pair.
+    const bool last = r + 1 == kSetupRepeats;
+    const std::int64_t end =
+        now_ns() + static_cast<std::int64_t>(opt.seconds * 1e9 / kSetupRepeats);
+    while (now_ns() < end || (last && opt.trace && traced_rates.empty())) {
+      const std::vector<GridPoint> batch = gen.next_batch(w.batch_points);
+      const bool traced = ++batch_id % 2 == 0 && opt.trace;
+      log.set_enabled(traced);
+      ScopedSpan it(log, Layer::bench, "iteration", kNoSpan, batch_id);
+      ++counters.attempted;
+      hs::core::HybridResult res_batch;
+      dog.arm(0);
+      const std::int64_t b0 = now_ns();
+      try {
+        ScopedSpan s(log, Layer::core, "run_batch", it.id(), batch_id);
+        res_batch = exec->run_batch(batch);
+      } catch (const std::exception& e) {
+        dog.disarm(0);
+        ++counters.failed;
+        res.notes.push_back(std::string("run_batch threw: ") + e.what());
+        continue;
+      }
+      const double wall = seconds_between(b0, now_ns());
+      dog.disarm(0);
+      stream.add(res_batch, batch.size(), wall);
+      batch_s.push_back(wall);
+      (traced ? traced_rates : untraced_rates)
+          .push_back(static_cast<double>(batch.size()) / wall);
+
+      bool ok = res_batch.spectra.size() == batch.size();
+      for (std::size_t i = 0; ok && i < batch.size(); ++i) {
+        ok = all_finite(res_batch.spectra[i]);
+        done_points.push_back(batch[i]);
+        done_spectra.push_back(res_batch.spectra[i].values());
+      }
+      if (!ok) ++counters.failed;
+    }
+  }
+  log.set_enabled(false);
+
+  check_reference_sample(*model, done_points, done_spectra, opt.seed, 2,
+                         counters, res);
+
+  if (!opt.trace) {
+    if (batch_s.empty()) throw std::runtime_error("no batch completed");
+    add_metric(res, "setup_s", median(setup), "s", setup.size());
+    add_metric(res, "peak_rss_mb", peak_rss_mb(), "MB");
+    add_metric(res, "points_per_s", static_cast<double>(stream.points) / stream.busy_s,
+               "1/s", stream.batches);
+    // One request is one run_batch call of batch_points points.
+    add_metric(res, "latency_p50_s", median(batch_s), "s", batch_s.size());
+    res.notes.push_back("points: " + std::to_string(stream.points) + " in " +
+                        std::to_string(stream.batches) + " batches of " +
+                        std::to_string(w.batch_points));
+  } else {
+    SpanLog probe_log(true, 2, kSpanCapacity);
+    SurveyGenerator probe_gen(w.points, stream_seed(opt.seed, 2));
+    const PointLayers pl = probe_point_layers(
+        *model, probe_gen.next_batch(w.probe_points), w.exec.granularity,
+        probe_log);
+    add_probe_metrics(res, pl, probe_launch_speedup(*model, w.exec.ranks, probe_log),
+                      probe_minimpi_run_s(w.exec.ranks, probe_log));
+    add_stream_metrics(res, stream, pl, w.exec.ranks);
+    // The lookup probe caches at most 64 of the window's points, as many as
+    // the service_hot pool, well within the default cache's capacity.
+    const std::size_t n_lookup = std::min<std::size_t>(64, done_points.size());
+    const std::vector<GridPoint> lookup_points(
+        done_points.begin(), done_points.begin() + static_cast<std::ptrdiff_t>(n_lookup));
+    add_service_metrics(res, ServiceSamples{}, 0, 0, hs::service::GridCacheConfig{},
+                        lookup_points, model->grid.bin_count(), probe_log);
+
+    std::vector<Span> spans = log.spans();
+    spans.insert(spans.end(), probe_log.spans().begin(), probe_log.spans().end());
+    add_trace_metrics(res, spans, "iteration", untraced_rates, traced_rates,
+                      log.dropped() + probe_log.dropped(), opt.trace_path);
+  }
+  finish(res, counters);
+  return res;
+}
+
+// ---- fit_mixed ------------------------------------------------------------------
+
+namespace {
+
+hs::service::ServiceConfig service_config(const ExecParams& e,
+                                          std::size_t max_batch_points,
+                                          std::size_t cache_capacity) {
+  hs::service::ServiceConfig cfg;
+  cfg.hybrid = hybrid_config(e);
+  cfg.max_batch_points = max_batch_points;
+  cfg.cache.capacity = cache_capacity;
+  return cfg;
+}
 
 }  // namespace
 
@@ -370,7 +399,7 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
   Result res;
   Counters counters;
   const auto clients = static_cast<std::size_t>(w.clients);
-  Watchdog dog(opt.request_deadline_s, counters, clients);
+  Watchdog dog(kRequestDeadlineS, counters, clients);
   const hs::service::ServiceConfig scfg =
       service_config(w.exec, w.max_batch_points, w.cache_capacity);
 
@@ -378,7 +407,7 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
   std::unique_ptr<hs::service::SpectralService> svc;
   std::vector<double> setup;
   SurveyGenerator warm_gen(PointRange{}, stream_seed(opt.seed, 3));
-  for (int r = 0; r < opt.setup_repeats; ++r) {
+  for (int r = 0; r < kSetupRepeats; ++r) {
     svc.reset();
     model.reset();
     const std::int64_t t0 = now_ns();
@@ -397,7 +426,10 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
     std::vector<double> hit_s, miss_s, cold_fit_s;
     ServiceSamples service;
     std::size_t fits = 0, requests = 0, expected_hits = 0, next_job = 0;
-    double busy_s = 0.0;  ///< summed fit durations
+    double busy_s = 0.0;  ///< summed fit durations, think time taken out
+    /// Requests per busy second of each block of two fits (one fresh, one
+    /// refit), by whether the block was traced.
+    std::vector<double> untraced_rates, traced_rates;
     std::vector<hs::apec::ObservedSpectrum> observed;
     std::map<std::size_t, hs::apec::FitResult> results;
     /// By cache key: Brent's last steps can land within the cache's
@@ -407,8 +439,6 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
     std::unique_ptr<SpanLog> log;
   };
   std::vector<Client> cs(clients);
-  std::uint64_t total_requests_untraced = 0, total_requests_traced = 0;
-  double untraced_s = 0.0, traced_s = 0.0;
 
   auto observation = [&](std::size_t c, std::size_t i) -> const hs::apec::ObservedSpectrum& {
     while (cs[c].observed.size() <= i) {
@@ -439,35 +469,47 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
   }
 
   const auto telemetry_before = svc->telemetry();
-  auto window = [&](double seconds) {
-    const std::int64_t start = now_ns();
-    const std::int64_t end = start + static_cast<std::int64_t>(seconds * 1e9);
+  {
+    const std::int64_t end = now_ns() + static_cast<std::int64_t>(opt.seconds * 1e9);
     std::vector<std::thread> threads;
-    std::vector<std::size_t> requests_before(clients);
-    for (std::size_t c = 0; c < clients; ++c) requests_before[c] = cs[c].requests;
     for (std::size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
         Client& me = cs[c];
         SpanLog& log = *me.log;
-        Rng think(stream_seed(opt.seed, 500 + 16 * (me.next_job + 1) + c));
-        while (now_ns() < end) {
+        Rng think(stream_seed(opt.seed, 500 + c));
+        std::size_t block_requests = 0;
+        double block_s = 0.0;
+        while (now_ns() < end || (opt.trace && me.traced_rates.empty())) {
           if (me.next_job >= jobs[c].size()) jobs[c].push_back(schedules[c].next());
           const std::size_t k = ++me.next_job;
           const FitJob job = jobs[c][k - 1];
           const ObservationSpec spec = schedules[c].observation(job.observation);
           const hs::apec::ObservedSpectrum& obs = observation(c, job.observation);
           const std::uint64_t fit_id = (static_cast<std::uint64_t>(c + 1) << 32) | k;
+          // A traced run traces every second block of two fits, so each
+          // traced block has an untraced neighbour with the same mix; each
+          // client runs until it has one pair.
+          const bool traced = opt.trace && (k - 1) / 2 % 2 == 1;
+          log.set_enabled(traced);
 
           ++counters.attempted;  // the fit itself
           ScopedSpan fit_span(log, Layer::apec, "fit", kNoSpan, fit_id);
+          double think_s = 0.0;
+          std::size_t fit_requests = 0;
           auto evaluate = [&](double kT) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(w.think_max_s * think.uniform()));
+            {
+              ScopedSpan z(log, Layer::bench, "think", fit_span.id(), fit_id);
+              const std::int64_t z0 = now_ns();
+              std::this_thread::sleep_for(
+                  std::chrono::duration<double>(w.think_max_s * think.uniform()));
+              think_s += seconds_between(z0, now_ns());
+            }
             const GridPoint p{kT, spec.ne_cm3, 0.0, 0};
             const hs::service::GridKey key = svc->cache().key_of(p);
             const auto seen = me.first_served.find(key);
             ++counters.attempted;
             ++me.requests;
+            ++fit_requests;
             hs::service::ServiceReply reply;
             dog.arm(c);
             const std::int64_t t0 = now_ns();
@@ -508,9 +550,17 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
             ++counters.failed;
             continue;
           }
-          const std::int64_t f1 = now_ns();
+          const double fit_s = seconds_between(f0, now_ns()) - think_s;
           ++me.fits;
-          me.busy_s += seconds_between(f0, f1);
+          me.busy_s += fit_s;
+          block_requests += fit_requests;
+          block_s += fit_s;
+          if (k % 2 == 0) {
+            (traced ? me.traced_rates : me.untraced_rates)
+                .push_back(static_cast<double>(block_requests) / block_s);
+            block_requests = 0;
+            block_s = 0.0;
+          }
           if (job.refit) {
             // A refit sees bitwise the spectra of the original fit, so Brent
             // must retrace its path to the same result.
@@ -521,22 +571,14 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
               ++counters.failed;
           } else {
             me.results[job.observation] = fit;
-            me.cold_fit_s.push_back(seconds_between(f0, f1));
+            me.cold_fit_s.push_back(fit_s);
           }
         }
+        log.set_enabled(false);
       });
     }
     for (auto& t : threads) t.join();
-    std::uint64_t n = 0;
-    for (std::size_t c = 0; c < clients; ++c) n += cs[c].requests - requests_before[c];
-    return std::make_pair(n, seconds_between(start, now_ns()));
-  };
-
-  const auto [first_s, second_s] = window_halves(opt);
-  if (opt.trace) std::tie(total_requests_untraced, untraced_s) = window(first_s);
-  for (auto& c : cs) c.log->set_enabled(opt.trace);
-  std::tie(total_requests_traced, traced_s) = window(second_s);
-  for (auto& c : cs) c.log->set_enabled(false);
+  }
   const auto telemetry_after = svc->telemetry();
 
   std::vector<GridPoint> pts;
@@ -550,7 +592,7 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
   check_reference_sample(*model, pts, spectra, opt.seed, 2, counters, res);
 
   std::vector<double> hits, misses, cold;
-  double fits_per_s = 0.0;
+  double fits_per_s = 0.0, points_per_s = 0.0;
   std::size_t fits = 0, expected_hits = 0;
   ServiceSamples service;
   for (const Client& c : cs) {
@@ -559,7 +601,10 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
     cold.insert(cold.end(), c.cold_fit_s.begin(), c.cold_fit_s.end());
     // Each client is a closed loop: its rate is its fits over its own busy
     // time, and the service's rate is the sum over clients.
-    if (c.fits > 0) fits_per_s += static_cast<double>(c.fits) / c.busy_s;
+    if (c.fits > 0) {
+      fits_per_s += static_cast<double>(c.fits) / c.busy_s;
+      points_per_s += static_cast<double>(c.service.points) / c.busy_s;
+    }
     fits += c.fits;
     expected_hits += c.expected_hits;
     service.merge(c.service);
@@ -574,6 +619,10 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
       throw std::runtime_error("fit_mixed: window too short for its percentiles");
     add_metric(res, "setup_s", median(setup), "s", setup.size());
     add_metric(res, "peak_rss_mb", peak_rss_mb(), "MB");
+    std::vector<double> all = hits;
+    all.insert(all.end(), misses.begin(), misses.end());
+    add_metric(res, "points_per_s", points_per_s, "1/s", service.points);
+    add_metric(res, "latency_p50_s", median(all), "s", all.size());
     add_metric(res, "fits_per_s", fits_per_s, "1/s", fits);
     add_metric(res, "cold_fit_p50_s", median(cold), "s", cold.size());
     add_metric(res, "hit_latency_p90_s", quantile(hits, 0.9), "s", hits.size());
@@ -589,18 +638,25 @@ Result run_fit_workload(const FitWorkload& w, const RunOptions& opt) {
     std::vector<GridPoint> lookup_points;
     for (const Client& c : cs)
       lookup_points.insert(lookup_points.end(), c.missed_points.begin(), c.missed_points.end());
-    add_service_metrics(res, service, telemetry_before, telemetry_after, scfg.cache,
-                        lookup_points, model->grid.bin_count(), probe_log);
+    add_service_metrics(res, service, telemetry_after.batches - telemetry_before.batches,
+                        telemetry_after.coalesced_batches -
+                            telemetry_before.coalesced_batches,
+                        scfg.cache, lookup_points, model->grid.bin_count(), probe_log);
     std::vector<Span> spans;
+    std::vector<double> untraced_rates, traced_rates;
     std::size_t dropped = probe_log.dropped();
     for (const Client& c : cs) {
       spans.insert(spans.end(), c.log->spans().begin(), c.log->spans().end());
       dropped += c.log->dropped();
+      // Pairs are formed within a client, from its neighbouring blocks.
+      const std::size_t pairs = std::min(c.untraced_rates.size(), c.traced_rates.size());
+      untraced_rates.insert(untraced_rates.end(), c.untraced_rates.begin(),
+                            c.untraced_rates.begin() + static_cast<std::ptrdiff_t>(pairs));
+      traced_rates.insert(traced_rates.end(), c.traced_rates.begin(),
+                          c.traced_rates.begin() + static_cast<std::ptrdiff_t>(pairs));
     }
     spans.insert(spans.end(), probe_log.spans().begin(), probe_log.spans().end());
-    add_trace_metrics(res, spans, "fit",
-                      static_cast<double>(total_requests_untraced) / untraced_s,
-                      static_cast<double>(total_requests_traced) / traced_s, dropped,
+    add_trace_metrics(res, spans, "fit", untraced_rates, traced_rates, dropped,
                       opt.trace_path);
   }
   finish(res, counters);
@@ -613,71 +669,78 @@ Result run_hot_workload(const HotWorkload& w, const RunOptions& opt) {
   Result res;
   Counters counters;
   const auto clients = static_cast<std::size_t>(w.clients);
-  Watchdog dog(opt.request_deadline_s, counters, clients);
+  Watchdog dog(kRequestDeadlineS, counters, clients);
   const hs::service::ServiceConfig scfg =
       service_config(w.exec, w.pool_points, w.cache_capacity);
   const std::vector<GridPoint> pool = hot_pool(w, opt.seed);
 
-  std::unique_ptr<Model> model;  // declared first: outlives the service
-  std::unique_ptr<hs::service::SpectralService> svc;
-  std::vector<double> setup;
-  hs::service::ServiceReply prefill;
-  for (int r = 0; r < opt.setup_repeats; ++r) {
-    svc.reset();
-    model.reset();
-    const std::int64_t t0 = now_ns();
-    model = std::make_unique<Model>(w.grid);
-    svc = std::make_unique<hs::service::SpectralService>(model->calc, scfg);
-    dog.arm(0);
-    prefill = svc->submit(pool).wait();
-    dog.disarm(0);
-    setup.push_back(seconds_between(t0, now_ns()));
-  }
-  // Every later request must return these spectra bitwise.
-  std::vector<std::vector<double>> first_served;
-  for (const auto& s : prefill.spectra) {
-    if (!all_finite(s)) ++counters.failed;
-    first_served.push_back(s.values());
-  }
-  check_reference_sample(*model, pool, first_served, opt.seed, 2, counters, res);
-
   // Latencies are kept per one-second slice of the window, in fixed-memory
   // histograms so the benchmark's footprint does not grow with the request
   // rate; the reported figures are medians over full slices, which holds
-  // them steady against a brief stall of a shared host.
+  // them steady against a brief stall of a shared host. A request belongs
+  // to the slice it starts in. A traced run traces the odd slices, so each
+  // traced slice has an untraced neighbour to be compared with.
   constexpr double kSlice = 1.0;
   struct Client {
     std::vector<LatencyHistogram> slices;
+    std::vector<std::uint64_t> slice_points;  ///< points answered per slice
     ServiceSamples service;
     std::unique_ptr<SpanLog> log;
     std::uint64_t requests = 0;  ///< answered
     std::uint64_t sent = 0;
   };
   std::vector<Client> cs(clients);
-  for (std::size_t c = 0; c < clients; ++c)
+  const std::size_t full = std::max<std::size_t>(
+      opt.trace ? 2 : 1, static_cast<std::size_t>(opt.seconds / kSlice));
+  const double slice_s = opt.seconds / static_cast<double>(full);
+  for (std::size_t c = 0; c < clients; ++c) {
     cs[c].log = std::make_unique<SpanLog>(false, static_cast<std::uint32_t>(c + 1),
-                                          kSpanCapacity);
+                                          kHotSpanCapacity);
+    cs[c].slices.assign(full, LatencyHistogram{});
+    cs[c].slice_points.assign(full, 0);
+  }
 
-  const auto telemetry_before = svc->telemetry();
-  std::uint64_t seq = 0;
-  struct Slices {
-    std::vector<double> rate, p50, p90, p99;
-    double overall_rate = 0.0;
-  };
-  auto window = [&](double seconds) {
-    const std::size_t full = std::max<std::size_t>(1, static_cast<std::size_t>(seconds / kSlice));
-    const double slice_s = seconds / static_cast<double>(full);
-    for (auto& c : cs) c.slices.assign(full, LatencyHistogram{});
+  std::unique_ptr<Model> model;  // declared first: outlives the service
+  std::unique_ptr<hs::service::SpectralService> svc;
+  std::vector<double> setup;
+  std::vector<std::vector<double>> first_served;
+  std::uint64_t batches = 0, coalesced = 0;
+  for (std::size_t r = 0; r < kSetupRepeats; ++r) {
+    svc.reset();
+    model.reset();
+    const std::int64_t t0 = now_ns();
+    model = std::make_unique<Model>(w.grid);
+    svc = std::make_unique<hs::service::SpectralService>(model->calc, scfg);
+    dog.arm(0);
+    const hs::service::ServiceReply prefill = svc->submit(pool).wait();
+    dog.disarm(0);
+    setup.push_back(seconds_between(t0, now_ns()));
+    // Every later request to this instance must return these spectra bitwise.
+    first_served.clear();
+    for (const auto& sp : prefill.spectra) {
+      if (!all_finite(sp)) ++counters.failed;
+      first_served.push_back(sp.values());
+    }
+
+    // Each service set up answers an equal share of the window's slices.
+    const std::size_t lo = full * r / kSetupRepeats;
+    const std::size_t hi = full * (r + 1) / kSetupRepeats;
+    if (hi == lo) continue;
+    const auto before = svc->telemetry();
     const std::int64_t start = now_ns();
-    const std::int64_t end = start + static_cast<std::int64_t>(seconds * 1e9);
+    const std::int64_t end =
+        start + static_cast<std::int64_t>(static_cast<double>(hi - lo) * slice_s * 1e9);
     std::vector<std::thread> threads;
-    ++seq;
     for (std::size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
         Client& me = cs[c];
-        Rng rng(stream_seed(opt.seed, 400 + 16 * seq + c));
+        Rng rng(stream_seed(opt.seed, 400 + 16 * r + c));
         std::vector<GridPoint> pts;
         for (std::int64_t now = now_ns(); now < end; now = now_ns()) {
+          const std::size_t slice =
+              lo + std::min(hi - lo - 1, static_cast<std::size_t>(
+                                             seconds_between(start, now) / slice_s));
+          me.log->set_enabled(opt.trace && slice % 2 == 1);
           const std::vector<std::size_t> idx = hot_request(w, rng);
           pts.clear();
           for (std::size_t i : idx) pts.push_back(pool[i]);
@@ -686,20 +749,19 @@ Result run_hot_workload(const HotWorkload& w, const RunOptions& opt) {
           ++counters.attempted;
           hs::service::ServiceReply reply;
           dog.arm(c);
-          const std::int64_t t0 = now_ns();
+          const std::int64_t q0 = now_ns();
           try {
-            ScopedSpan s(*me.log, Layer::service, "request", it.id(), rid);
+            ScopedSpan sp(*me.log, Layer::service, "request", it.id(), rid);
             reply = svc->submit(pts).wait();
           } catch (...) {
             dog.disarm(c);
             ++counters.failed;
             continue;
           }
-          const std::int64_t t1 = now_ns();
+          const std::int64_t q1 = now_ns();
           dog.disarm(c);
-          const auto slice = static_cast<std::size_t>(seconds_between(start, t1) / slice_s);
-          if (slice < me.slices.size())
-            me.slices[slice].add(seconds_between(t0, t1));
+          me.slices[slice].add(seconds_between(q0, q1));
+          me.slice_points[slice] += pts.size();
           me.service.add(reply, pts.size());
           ++me.requests;
           bool ok = reply.spectra.size() == pts.size() &&
@@ -708,31 +770,34 @@ Result run_hot_workload(const HotWorkload& w, const RunOptions& opt) {
             ok = bitwise_equal(first_served[idx[i]], reply.spectra[i]);
           if (!ok) ++counters.failed;
         }
+        me.log->set_enabled(false);
       });
     }
     for (auto& t : threads) t.join();
-    Slices out;
-    std::uint64_t total = 0;
-    for (std::size_t s = 0; s < full; ++s) {
-      LatencyHistogram lat;
-      for (const auto& c : cs) lat.merge(c.slices[s]);
-      total += lat.count();
-      if (highest_supported_quantile(lat.count()) < 0.99) continue;
-      out.rate.push_back(static_cast<double>(lat.count()) / slice_s);
-      out.p50.push_back(lat.quantile(0.5));
-      out.p90.push_back(lat.quantile(0.9));
-      out.p99.push_back(lat.quantile(0.99));
-    }
-    out.overall_rate = static_cast<double>(total) / seconds;
-    return out;
-  };
+    const auto after = svc->telemetry();
+    batches += after.batches - before.batches;
+    coalesced += after.coalesced_batches - before.coalesced_batches;
+  }
+  check_reference_sample(*model, pool, first_served, opt.seed, 2, counters, res);
 
-  const auto [first_s, second_s] = window_halves(opt);
-  const Slices untraced = opt.trace ? window(first_s) : Slices{};
-  for (auto& c : cs) c.log->set_enabled(opt.trace);
-  const Slices main = window(second_s);
-  for (auto& c : cs) c.log->set_enabled(false);
-  const auto telemetry_after = svc->telemetry();
+  std::vector<double> rate, point_rate, p50, p90, p99;
+  std::vector<double> untraced_rates, traced_rates;
+  for (std::size_t s = 0; s < full; ++s) {
+    LatencyHistogram lat;
+    std::uint64_t slice_points = 0;
+    for (const auto& c : cs) {
+      lat.merge(c.slices[s]);
+      slice_points += c.slice_points[s];
+    }
+    const double r = static_cast<double>(lat.count()) / slice_s;
+    (s % 2 == 1 ? traced_rates : untraced_rates).push_back(r);
+    if (highest_supported_quantile(lat.count()) < 0.99) continue;
+    rate.push_back(r);
+    point_rate.push_back(static_cast<double>(slice_points) / slice_s);
+    p50.push_back(lat.quantile(0.5));
+    p90.push_back(lat.quantile(0.9));
+    p99.push_back(lat.quantile(0.99));
+  }
 
   ServiceSamples service;
   std::uint64_t requests = 0;
@@ -741,21 +806,18 @@ Result run_hot_workload(const HotWorkload& w, const RunOptions& opt) {
     requests += c.requests;
   }
   res.notes.push_back("requests: " + std::to_string(requests) + " in " +
-                      std::to_string(main.rate.size() + untraced.rate.size()) +
-                      " one-second slices; points " + std::to_string(service.points) +
+                      std::to_string(full) + " slices of " + std::to_string(slice_s) +
+                      " s; points " + std::to_string(service.points) +
                       ", hits " + std::to_string(service.hits));
   if (!opt.trace) {
-    if (main.rate.empty()) throw std::runtime_error("service_hot: no full slice");
+    if (rate.empty()) throw std::runtime_error("service_hot: no full slice");
     add_metric(res, "setup_s", median(setup), "s", setup.size());
     add_metric(res, "peak_rss_mb", peak_rss_mb(), "MB");
-    add_metric(res, "latency_p50_s", median(main.p50), "s", requests);
-    // Throughput and the tail follow the host, not the program: on a shared
-    // 4-vCPU VM a descheduled vCPU stalls the wake-up chain of a request for
-    // milliseconds, which moved them by 30-40 % between 10-run sets while
-    // the median held within 10 %. They are printed, not gated.
-    res.notes.push_back("requests_per_s " + std::to_string(median(main.rate)) +
-                        ", latency_p90_s " + std::to_string(median(main.p90)) +
-                        ", latency_p99_s " + std::to_string(median(main.p99)) +
+    add_metric(res, "points_per_s", median(point_rate), "1/s", point_rate.size());
+    add_metric(res, "latency_p50_s", median(p50), "s", requests);
+    res.notes.push_back("requests_per_s " + std::to_string(median(rate)) +
+                        ", latency_p90_s " + std::to_string(median(p90)) +
+                        ", latency_p99_s " + std::to_string(median(p99)) +
                         " (medians over one-second slices; not gated)");
   } else {
     SpanLog probe_log(true, 100, kSpanCapacity);
@@ -764,8 +826,9 @@ Result run_hot_workload(const HotWorkload& w, const RunOptions& opt) {
         *model, probe_gen.next_batch(w.probe_points), w.exec.granularity, probe_log);
     add_probe_metrics(res, pl, probe_launch_speedup(*model, w.exec.ranks, probe_log),
                       probe_minimpi_run_s(w.exec.ranks, probe_log));
-    add_service_metrics(res, service, telemetry_before, telemetry_after, scfg.cache,
-                        pool, model->grid.bin_count(), probe_log);
+    add_stream_metrics(res, StreamCounters{}, pl, w.exec.ranks);
+    add_service_metrics(res, service, batches, coalesced, scfg.cache, pool,
+                        model->grid.bin_count(), probe_log);
     std::vector<Span> spans;
     std::size_t dropped = probe_log.dropped();
     for (const Client& c : cs) {
@@ -773,8 +836,8 @@ Result run_hot_workload(const HotWorkload& w, const RunOptions& opt) {
       dropped += c.log->dropped();
     }
     spans.insert(spans.end(), probe_log.spans().begin(), probe_log.spans().end());
-    add_trace_metrics(res, spans, "iteration", untraced.overall_rate,
-                      main.overall_rate, dropped, opt.trace_path);
+    add_trace_metrics(res, spans, "iteration", untraced_rates, traced_rates,
+                      dropped, opt.trace_path);
   }
   finish(res, counters);
   return res;
@@ -833,7 +896,7 @@ const std::vector<Workload>& workloads() {
     HotWorkload hot;
     hot.grid = fit_grid();
     hot.exec = fit.exec;
-    hot.clients = 3;
+    hot.clients = 2;
     hot.pool_points = 64;
     hot.min_request_points = 1;
     hot.max_request_points = 4;

@@ -76,7 +76,8 @@ struct FitWorkload {
   /// [0, think_max_s] on its own side of the fit (folding the model through
   /// a response, say). Without it the three closed loops lock into one of
   /// two phases — misses coalesced, or each waiting out another's batch —
-  /// and the miss latency flips between them from run to run.
+  /// and the miss latency flips between them from run to run. The think
+  /// time is taken out of every fit duration the benchmark reports.
   double think_max_s = 0.05;
   std::size_t max_batch_points = 64;
   std::size_t cache_capacity = 65536;
@@ -89,7 +90,11 @@ struct FitWorkload {
 struct HotWorkload {
   GridParams grid;
   ExecParams exec;
-  int clients = 3;
+  /// Two clients and the service worker leave a core of a 4-core host
+  /// free. With three, every core is busy and a descheduled thread stalls
+  /// a request's wake-up chain for milliseconds: throughput swung 2.5x
+  /// between runs.
+  int clients = 2;
   std::size_t pool_points = 64;
   std::size_t min_request_points = 1;
   std::size_t max_request_points = 4;
@@ -102,9 +107,7 @@ struct RunOptions {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  int setup_repeats = 3;            ///< set-ups per run; setup_s is their median
-  double request_deadline_s = 60.0; ///< a reply later than this is a failure
-  std::string trace_path;           ///< CSV of the recorded spans ("" = none)
+  std::string trace_path;  ///< CSV of the recorded spans ("" = none)
 };
 
 struct Metric {

@@ -145,7 +145,6 @@ TEST(Workloads, FitMixedGetsTheConstructedHitShare) {
   opt.seed = 3;
   opt.seconds = 2.0;
   opt.trace = true;
-  opt.setup_repeats = 1;
   const Result r = run_fit_workload(w, opt);
   // Every request is checked against the construction — a hit exactly when
   // the client asked for that point before — and every refit must retrace
@@ -168,12 +167,49 @@ TEST(Workloads, ServiceHotPrefillMakesEveryRequestAHit) {
   w.probe_points = 2;
   RunOptions opt;
   opt.seed = 9;
-  opt.seconds = 1.0;
+  opt.seconds = 2.0;
   opt.trace = true;
-  opt.setup_repeats = 1;
   const Result r = run_hot_workload(w, opt);
   EXPECT_EQ(r.failed, 0u) << notes(r);
   EXPECT_EQ(metric(r, "service.cache_hit_frac"), 1.0);
+  // One untraced and one traced slice make the one overhead pair.
+  EXPECT_TRUE(std::isfinite(metric(r, "trace.overhead_frac")));
+}
+
+std::set<std::string> metric_names(const Result& r) {
+  std::set<std::string> names;
+  for (const Metric& m : r.metrics) names.insert(m.name);
+  return names;
+}
+
+// BENCHMARK.json holds one list of end-to-end metrics and one of per-layer
+// metrics for every workload, so the executor workload and the service
+// workload must report the same names in each mode.
+TEST(Workloads, ExecutorAndServiceWorkloadsReportTheSameMetrics) {
+  BatchWorkload b;
+  b.grid = tiny_grid();
+  b.exec = tiny_exec();
+  b.batch_points = 2;
+  b.warmup_points = 1;
+  b.probe_points = 1;
+  HotWorkload h;
+  h.grid = tiny_grid();
+  h.exec = tiny_exec();
+  h.pool_points = 16;
+  h.probe_points = 1;
+  for (bool trace : {false, true}) {
+    RunOptions opt;
+    opt.seed = 4;
+    opt.seconds = 2.0;
+    opt.trace = trace;
+    const Result rb = run_batch_workload(b, opt);
+    const Result rh = run_hot_workload(h, opt);
+    EXPECT_EQ(rb.failed, 0u) << notes(rb);
+    EXPECT_EQ(rh.failed, 0u) << notes(rh);
+    EXPECT_EQ(metric_names(rb), metric_names(rh)) << "trace " << trace;
+    for (const Result* r : {&rb, &rh})
+      for (const Metric& m : r->metrics) EXPECT_TRUE(std::isfinite(m.value)) << m.name;
+  }
 }
 
 TEST(Stats, QuantilesInterpolateBetweenOrderStatistics) {
@@ -268,6 +304,15 @@ TEST(Trace, LayerTimesSumOverTheSelectedTrees) {
   EXPECT_EQ(lt.self_s[static_cast<std::size_t>(Layer::minimpi)], 0.0);
   EXPECT_NEAR(lt.share(Layer::service), 110.0 / 140.0, 1e-12);
   EXPECT_NEAR(layer_times(spans, "run").root_s, 100e-9, 1e-15);
+}
+
+TEST(Trace, OverheadIsTheMedianOfPairedRelativeDifferences) {
+  // Pair differences: 0.1, 0.0, -0.05 (a host slowing through the run moves
+  // both members of a pair, not their difference); the unpaired 50 is
+  // ignored.
+  EXPECT_NEAR(paired_overhead({100, 50, 20}, {90, 50, 21, 50}), 0.0, 1e-12);
+  EXPECT_NEAR(paired_overhead({100, 50}, {90, 44}), 0.11, 1e-12);
+  EXPECT_THROW(paired_overhead({1.0}, {}), std::invalid_argument);
 }
 
 TEST(Trace, SpanLogNestsAndDropsPastCapacity) {
