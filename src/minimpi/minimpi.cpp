@@ -1,5 +1,6 @@
 #include "minimpi/minimpi.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <thread>
@@ -52,6 +53,7 @@ class World {
           return msg;
         }
       }
+      throw_if_aborted();
       mb.cv.wait(lock);
     }
   }
@@ -74,18 +76,51 @@ class World {
     } else {
       // Manual loop (not the predicate overload): the analysis sees the
       // guarded read in this scope, where the capability is provably held.
-      while (barrier_generation_ == gen) barrier_cv_.wait(lock);
+      while (barrier_generation_ == gen) {
+        throw_if_aborted();
+        barrier_cv_.wait(lock);
+      }
     }
   }
 
+  /// First rank exception: poison the world and wake every blocked rank.
+  /// Each waiter checks the flag while holding the mutex it waits on, and
+  /// the flag is set before this takes a mailbox mutex (and under the
+  /// barrier mutex), so no wakeup is lost.
+  void abort(std::exception_ptr cause) {
+    {
+      util::MutexLock lock(barrier_mu_);
+      if (!cause_) cause_ = std::move(cause);
+      aborted_.store(true, std::memory_order_release);
+      barrier_cv_.notify_all();
+    }
+    for (auto& mb : mailboxes_) {
+      util::MutexLock lock(mb->mu);
+      mb->cv.notify_all();
+    }
+  }
+
+  /// The exception that aborted the world (null if none did).
+  std::exception_ptr cause() {
+    util::MutexLock lock(barrier_mu_);
+    return cause_;
+  }
+
  private:
+  void throw_if_aborted() const {
+    if (aborted_.load(std::memory_order_acquire)) throw WorldAborted();
+  }
+
   int nranks_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  // Set once by abort(); each waiter reads it under its own wait mutex.
+  std::atomic<bool> aborted_{false};
 
-  util::Mutex barrier_mu_;
+  util::Mutex barrier_mu_;  // the barrier state and the abort cause
   std::condition_variable_any barrier_cv_;
   int barrier_count_ HSPEC_GUARDED_BY(barrier_mu_) = 0;
   std::uint64_t barrier_generation_ HSPEC_GUARDED_BY(barrier_mu_) = 0;
+  std::exception_ptr cause_ HSPEC_GUARDED_BY(barrier_mu_);
 };
 
 int Communicator::size() const noexcept { return world_->size(); }
@@ -197,21 +232,19 @@ void run(int nranks, const std::function<void(Communicator&)>& rank_main) {
   if (nranks <= 0) throw std::invalid_argument("minimpi::run: nranks <= 0");
   World world(nranks);
   std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
   threads.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&world, &rank_main, &errors, r] {
+    threads.emplace_back([&world, &rank_main, r] {
       try {
         Communicator comm(&world, r);
         rank_main(comm);
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        world.abort(std::current_exception());
       }
     });
   }
   for (auto& t : threads) t.join();
-  for (auto& e : errors)
-    if (e) std::rethrow_exception(e);
+  if (std::exception_ptr cause = world.cause()) std::rethrow_exception(cause);
 }
 
 }  // namespace hspec::minimpi

@@ -2,13 +2,12 @@
 // minimpi: an in-process message-passing runtime with MPI semantics.
 //
 // SUBSTITUTION NOTE (DESIGN.md §2): the paper wraps APEC in MPI and runs 24
-// ranks on one node. This environment has no MPI installation (and one
-// core), so ranks are std::threads with per-rank mailboxes; the API mirrors
-// the MPI subset the paper's wrapper needs: point-to-point send/recv,
-// barrier, broadcast, reductions, and gather. Because all the paper's ranks
-// share one physical node and communicate with the scheduler through POSIX
-// shared memory, threads-with-mailboxes preserves the communication
-// topology exactly.
+// ranks on one node. This environment has no MPI installation, so ranks are
+// std::threads with per-rank mailboxes; the API mirrors the MPI subset the
+// paper's wrapper needs: point-to-point send/recv, barrier, broadcast,
+// reductions, and gather. Because all the paper's ranks share one physical
+// node and communicate with the scheduler through POSIX shared memory,
+// threads-with-mailboxes preserves the communication topology exactly.
 
 #include <condition_variable>
 #include <cstddef>
@@ -52,6 +51,16 @@ struct Message {
 };
 
 class World;  // shared state of all ranks
+
+/// Thrown by a blocking call (recv, barrier and the collectives built on
+/// them) once another rank of the world has thrown: the world is aborted,
+/// and run() rethrows that rank's exception, not this one.
+class WorldAborted : public std::runtime_error {
+ public:
+  WorldAborted()
+      : std::runtime_error("minimpi: world aborted by another rank's "
+                           "exception") {}
+};
 
 /// A rank's handle to the world — the MPI_Comm analogue. One per rank,
 /// usable only from that rank's thread.
@@ -126,8 +135,10 @@ class Communicator {
   int collective_seq_ = 0;
 };
 
-/// Launch `nranks` ranks running `rank_main` and join them. Exceptions
-/// thrown by any rank are collected and the first is rethrown after join.
+/// Launch `nranks` ranks running `rank_main` and join them. The first rank
+/// to throw aborts the world: ranks blocked in (or later entering) recv or
+/// barrier throw WorldAborted, and after the join run() rethrows that first
+/// exception.
 void run(int nranks, const std::function<void(Communicator&)>& rank_main);
 
 }  // namespace hspec::minimpi

@@ -1,7 +1,9 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <string>
 #include <utility>
 
 namespace hspec::service {
@@ -19,6 +21,23 @@ void raise_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
 
 void fill_spectrum(apec::Spectrum& spectrum, const std::vector<double>& bins) {
   for (std::size_t b = 0; b < bins.size(); ++b) spectrum[b] = bins[b];
+}
+
+/// The physical domain every point must lie in before it reaches the
+/// cache's quantize() or a rank's population solve.
+void validate(const std::vector<apec::GridPoint>& points) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const apec::GridPoint& p = points[i];
+    const char* why = nullptr;
+    if (!std::isfinite(p.kT_keV) || !(p.kT_keV > 0.0))
+      why = "kT must be finite and > 0";
+    else if (!std::isfinite(p.ne_cm3) || !(p.ne_cm3 > 0.0))
+      why = "ne must be finite and > 0";
+    else if (!std::isfinite(p.time_s) || p.time_s < 0.0)
+      why = "t must be finite and >= 0";
+    if (why != nullptr)
+      throw InvalidRequest("point " + std::to_string(i) + ": " + why);
+  }
 }
 
 }  // namespace
@@ -74,6 +93,7 @@ void SpectralService::stop() {
 
 SpectralService::Ticket SpectralService::submit(
     std::vector<apec::GridPoint> points) {
+  validate(points);
   auto req = std::make_unique<Request>();
   req->points = std::move(points);
   req->submitted = std::chrono::steady_clock::now();

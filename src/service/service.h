@@ -35,6 +35,7 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -80,6 +81,14 @@ class ServiceStopped : public std::runtime_error {
  public:
   ServiceStopped()
       : std::runtime_error("SpectralService: service is stopped") {}
+};
+
+/// submit() verdict for a point outside the physical domain: kT, ne or t
+/// not finite, kT <= 0, ne <= 0 or t < 0. Nothing is queued or cached.
+class InvalidRequest : public std::invalid_argument {
+ public:
+  explicit InvalidRequest(const std::string& what)
+      : std::invalid_argument("SpectralService: invalid request: " + what) {}
 };
 
 /// Per-request telemetry, returned alongside the spectra. Satellite of
@@ -143,8 +152,9 @@ class SpectralService {
     std::shared_future<ServiceReply> future_;
   };
 
-  /// Thread-safe submit. Blocks or throws ServiceOverloaded at the
-  /// admission gate per config; throws ServiceStopped after stop().
+  /// Thread-safe submit. Throws InvalidRequest for a point outside the
+  /// physical domain, before admission. Blocks or throws ServiceOverloaded
+  /// at the admission gate per config; throws ServiceStopped after stop().
   Ticket submit(std::vector<apec::GridPoint> points) HSPEC_EXCLUDES(mu_);
 
   /// Start the worker (no-op when running). Only needed with

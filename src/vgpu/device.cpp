@@ -103,8 +103,8 @@ void Device::memset_device(DeviceBuffer& dst, int value, std::size_t bytes) {
   std::memset(dst.device_ptr(), value, bytes);
 }
 
-void Device::launch(Dim3 grid, Dim3 block, const WorkEstimate& work,
-                    Kernel kernel) {
+double Device::launch(Dim3 grid, Dim3 block, const WorkEstimate& work,
+                      Kernel kernel) {
   if (grid.total() == 0 || block.total() == 0)
     throw std::invalid_argument("Device::launch: empty grid or block");
   if (fault_plan_ != nullptr) {
@@ -121,7 +121,9 @@ void Device::launch(Dim3 grid, Dim3 block, const WorkEstimate& work,
       throw util::FaultError(timeout.site, id_);
     }
   }
-  util::MutexLock lock(mu_);  // Fermi: queued kernels execute serially
+  // The body runs unlocked: a launch writes only its own buffers, so ranks
+  // sharing this device run their bodies concurrently on the host. Fermi's
+  // one-kernel-at-a-time rule is a virtual-clock fact, billed below.
   KernelCtx ctx;
   ctx.grid_dim = grid;
   ctx.block_dim = block;
@@ -136,8 +138,11 @@ void Device::launch(Dim3 grid, Dim3 block, const WorkEstimate& work,
               kernel(ctx);
             }
       }
+  const double duration = model_.kernel_time_s(work);
+  util::MutexLock lock(mu_);
   ++stats_.kernels_launched;
-  stats_.kernel_time_s += model_.kernel_time_s(work);
+  stats_.kernel_time_s += duration;
+  return duration;
 }
 
 double Device::busy_time_s() const noexcept {

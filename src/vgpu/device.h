@@ -6,9 +6,12 @@
 // the paper's Fermi cards.
 //
 // Thread model: many MPI ranks share one device. On Fermi, queued kernels
-// run serially ("application-level context switching"), which the device
-// enforces with an internal mutex; the virtual clock therefore accumulates
-// serialized kernel time like the real card.
+// run serially ("application-level context switching"). That serialization
+// lives on the virtual clock: synchronous callers read it from
+// busy_time_s(), the billed sum of every kernel's duration, and streams from
+// the StreamScheduler's single Fermi kernel lane. The host bodies of
+// different launches run concurrently (each launch writes only its own
+// buffers); the device mutex guards the counters alone.
 
 #include <atomic>
 #include <cstddef>
@@ -144,10 +147,14 @@ class Device {
   /// cudaMemset.
   void memset_device(DeviceBuffer& dst, int value, std::size_t bytes);
 
-  /// Launch a kernel over grid x block threads. `work` is the caller's work
-  /// estimate used for virtual-time accounting. Threads execute sequentially
-  /// on the host; the device serializes concurrent launches (Fermi model).
-  void launch(Dim3 grid, Dim3 block, const WorkEstimate& work, Kernel kernel);
+  /// Launch a kernel over grid x block threads and return the virtual
+  /// duration billed for it. `work` is the caller's work estimate used for
+  /// virtual-time accounting. One launch's virtual threads execute
+  /// sequentially on the calling thread, so they may share per-launch
+  /// scratch; concurrent launches from other threads run at the same time
+  /// on the host and serialize only on the virtual clock.
+  double launch(Dim3 grid, Dim3 block, const WorkEstimate& work,
+                Kernel kernel);
 
   /// Virtual time this device has spent busy [s].
   double busy_time_s() const noexcept;
@@ -166,7 +173,7 @@ class Device {
   GpuCostModel model_;
   int id_;
   std::atomic<std::size_t> allocated_{0};
-  // Serializes execution and stats (Fermi "application-level context switch").
+  // Guards the counters only; kernel bodies run outside it.
   mutable util::Mutex mu_;
   DeviceStats stats_ HSPEC_GUARDED_BY(mu_);
   // Written once before the ranks launch (thread creation provides the

@@ -116,8 +116,9 @@ void integr_bins_launch(LaunchFn&& launch, const double* edges,
 
 /// Batched counterpart of integr_bins_launch. Scratch for the abscissa and
 /// value arrays is bump-allocated once per launch and shared by the virtual
-/// threads (they execute sequentially under the device mutex); in the
-/// pipelined steady state the arena serves it without touching the heap.
+/// threads (one launch's threads run sequentially on the calling thread;
+/// other launches use their own arena); in the pipelined steady state the
+/// arena serves it without touching the heap.
 template <class LaunchFn>
 void integr_bins_launch_batch(LaunchFn&& launch, const double* edges,
                               std::size_t n_bins, quad::BatchIntegrand f,

@@ -62,8 +62,7 @@ void Stream::launch_async(Dim3 grid, Dim3 block, const WorkEstimate& work,
                           Kernel kernel) {
   stall_check();
   // Execute now for real results; account virtual time per overlap rules.
-  device_->launch(grid, block, work, kernel);
-  const double duration = device_->cost_model().kernel_time_s(work);
+  const double duration = device_->launch(grid, block, work, kernel);
   clock_ = scheduler_->schedule_kernel(clock_, duration).second;
 }
 

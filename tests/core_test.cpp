@@ -14,6 +14,7 @@
 #include "apec/calculator.h"
 #include "core/autotune.h"
 #include "core/hybrid.h"
+#include "core/hybrid_executor.h"
 #include "core/scheduler.h"
 #include "core/shm.h"
 #include "core/task.h"
@@ -643,6 +644,29 @@ TEST_F(HybridTest, InvalidConfigThrows) {
   bad4.degrade_after = 3;
   bad4.quarantine_after = 2;  // must be >= degrade_after
   EXPECT_THROW(HybridDriver(calc_, bad4), std::invalid_argument);
+}
+
+// A rank whose point throws (kT <= 0 fails the population solve) must fail
+// the batch, not leave the other rank waiting in the end-of-batch barrier;
+// and the executor must still serve the next batch. The other rank has no
+// point to claim, so it is usually in the barrier before the throw.
+TEST_F(HybridTest, RankExceptionFailsTheBatchInsteadOfHanging) {
+  const std::vector<apec::GridPoint> bad{{-1.0, 1.0, 0.0, 0}};
+  const std::vector<apec::GridPoint> good{{0.5, 1.0, 0.0, 0}};
+  for (const ExecutionMode mode :
+       {ExecutionMode::synchronous, ExecutionMode::pipelined}) {
+    HybridConfig cfg;
+    cfg.ranks = 2;
+    cfg.devices = 1;
+    cfg.mode = mode;
+    HybridExecutor exec(calc_, cfg);
+    EXPECT_THROW(exec.run_batch(bad), std::invalid_argument);
+    const HybridResult after = exec.run_batch(good);
+    const HybridResult fresh = HybridExecutor(calc_, cfg).run_batch(good);
+    ASSERT_EQ(after.spectra.size(), 1u);
+    EXPECT_EQ(after.spectra[0].values(), fresh.spectra[0].values());
+    EXPECT_EQ(after.tasks_total, fresh.tasks_total);
+  }
 }
 
 // ------------------------------------------------- hybrid fault recovery

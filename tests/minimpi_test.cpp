@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "minimpi/minimpi.h"
@@ -160,6 +164,54 @@ TEST(MiniMpi, RankExceptionPropagates) {
             if (comm.rank() == 1) throw std::runtime_error("rank 1 died");
           }),
       std::runtime_error);
+}
+
+// A rank that throws aborts the world: a rank already blocked in barrier()
+// wakes up and throws WorldAborted, and run() rethrows the original
+// exception, not the secondary one.
+TEST(MiniMpi, RankExceptionWakesBarrierWaiters) {
+  std::atomic<bool> rank0_waiting{false};
+  std::atomic<bool> rank0_aborted{false};
+  try {
+    run(2, [&](Communicator& comm) {
+      if (comm.rank() == 0) {
+        rank0_waiting.store(true);
+        try {
+          comm.barrier();
+        } catch (const WorldAborted&) {
+          rank0_aborted.store(true);
+          throw;
+        }
+      } else {
+        while (!rank0_waiting.load()) std::this_thread::yield();
+        // Give rank 0 time to block inside the barrier.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::domain_error("rank 1 died");
+      }
+    });
+    FAIL() << "run() returned normally";
+  } catch (const std::domain_error& e) {
+    EXPECT_EQ(std::string(e.what()), "rank 1 died");
+  }
+  EXPECT_TRUE(rank0_aborted.load());
+}
+
+TEST(MiniMpi, RankExceptionWakesReceiversAndLaterCollectives) {
+  std::atomic<int> aborted{0};
+  EXPECT_THROW(run(3,
+                   [&](Communicator& comm) {
+                     if (comm.rank() == 2)
+                       throw std::domain_error("rank 2 died");
+                     try {
+                       if (comm.rank() == 0) comm.recv(2, 7);  // never sent
+                       comm.allreduce_sum(1.0);
+                     } catch (const WorldAborted&) {
+                       aborted.fetch_add(1);
+                       throw;
+                     }
+                   }),
+               std::domain_error);
+  EXPECT_EQ(aborted.load(), 2);
 }
 
 TEST(MiniMpi, InvalidUseThrows) {

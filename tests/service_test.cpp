@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -361,6 +363,42 @@ TEST(SpectralService, EmptyRequestCompletesImmediately) {
   auto ticket = svc.submit({});
   EXPECT_TRUE(ticket.done());
   EXPECT_TRUE(ticket.wait().spectra.empty());
+}
+
+// Points outside the physical domain are refused at submit(), before they
+// reach the cache's quantize() or an executor rank, so one bad request
+// cannot disturb the tickets around it.
+TEST(SpectralService, InvalidPointsAreRejectedAtSubmit) {
+  Workload w;
+  ServiceConfig cfg;
+  cfg.hybrid = Workload::hybrid_config();
+  SpectralService svc(w.calc, cfg);
+  auto before = svc.submit({point_at(0.6)});
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<apec::GridPoint> bad;
+  for (double kT : {-1.0, 0.0, nan, inf, -inf}) bad.push_back(point_at(kT));
+  for (double ne : {-1.0, 0.0, nan, inf}) {
+    bad.push_back(point_at(0.6));
+    bad.back().ne_cm3 = ne;
+  }
+  for (double t : {-1.0, nan, inf}) {
+    bad.push_back(point_at(0.6));
+    bad.back().time_s = t;
+  }
+  for (const apec::GridPoint& p : bad)
+    EXPECT_THROW(svc.submit({point_at(0.6), p}), service::InvalidRequest)
+        << "kT " << p.kT_keV << " ne " << p.ne_cm3 << " t " << p.time_s;
+
+  auto after = svc.submit({point_at(0.6), point_at(0.9)});
+  EXPECT_EQ(before.wait().spectra.size(), 1u);
+  const auto reply = after.wait();
+  ASSERT_EQ(reply.spectra.size(), 2u);
+  for (const auto& spectrum : reply.spectra)
+    for (double v : spectrum.values()) EXPECT_TRUE(std::isfinite(v));
+  EXPECT_EQ(svc.telemetry().requests_submitted, 2u);
+  EXPECT_EQ(svc.cache_stats().entries, 2u);
 }
 
 TEST(SpectralService, StopDrainsThenRejectsNewWork) {

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "quad/newton_cotes.h"
@@ -138,6 +142,74 @@ TEST(Device, VirtualClockAccumulates) {
   dev.launch({1, 1, 1}, {1, 1, 1}, {1e9, 0}, [](const KernelCtx&) {});
   EXPECT_NEAR(dev.busy_time_s(), 2.0 * t1, 1e-9);
   EXPECT_EQ(dev.stats().kernels_launched, 2u);
+}
+
+// Fermi's one-kernel-at-a-time rule is billed on the virtual clock, not
+// enforced on the host: two threads launching on one device must have their
+// kernel bodies in flight together. Each body announces itself and waits
+// (bounded) for the other, so a device that serializes bodies again fails
+// here after the timeout instead of hanging.
+TEST(Device, LaunchBodiesOverlapOnTheHost) {
+  Device dev(tesla_c2075(), 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  bool saw_other[2] = {false, false};
+  auto launcher = [&](int me) {
+    dev.launch({1, 1, 1}, {1, 1, 1}, {1e6, 0}, [&](const KernelCtx&) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++entered;
+      cv.notify_all();
+      saw_other[me] = cv.wait_for(lock, std::chrono::seconds(5),
+                                  [&] { return entered == 2; });
+    });
+  };
+  std::thread a(launcher, 0);
+  std::thread b(launcher, 1);
+  a.join();
+  b.join();
+  EXPECT_TRUE(saw_other[0]);
+  EXPECT_TRUE(saw_other[1]);
+  EXPECT_EQ(dev.stats().kernels_launched, 2u);
+}
+
+// The counters stay exact under concurrent launches: every launch is
+// counted once, billed its own cost-model duration, and returns it.
+TEST(Device, ConcurrentLaunchesBillEveryKernelOnce) {
+  constexpr int kThreads = 4;
+  constexpr int kLaunches = 50;
+  Device dev(tesla_c2075(), 0);
+  auto work_of = [](int t, int i) {
+    return WorkEstimate{1e6 * (t * kLaunches + i + 1),
+                        static_cast<std::size_t>(64 * (i + 1))};
+  };
+  std::vector<std::thread> threads;
+  std::vector<std::size_t> visits(kThreads, 0);
+  std::vector<int> misbilled(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kLaunches; ++i) {
+        const WorkEstimate work = work_of(t, i);
+        const double billed = dev.launch({2, 1, 1}, {8, 1, 1}, work,
+                                         [&](const KernelCtx&) { ++visits[t]; });
+        if (billed != dev.cost_model().kernel_time_s(work)) ++misbilled[t];
+      }
+    });
+  for (auto& th : threads) th.join();
+
+  double expected = 0.0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(visits[t], std::size_t{16} * kLaunches);
+    EXPECT_EQ(misbilled[t], 0);
+    for (int i = 0; i < kLaunches; ++i)
+      expected += dev.cost_model().kernel_time_s(work_of(t, i));
+  }
+  const DeviceStats st = dev.stats();
+  EXPECT_EQ(st.kernels_launched,
+            static_cast<std::uint64_t>(kThreads) * kLaunches);
+  // Only the summation order differs from the serial sum.
+  EXPECT_NEAR(st.kernel_time_s, expected, 1e-12 * expected);
+  EXPECT_EQ(dev.busy_time_s(), st.kernel_time_s);  // no transfers
 }
 
 TEST(DeviceRegistry, ExplicitCountAndEnvDetect) {
