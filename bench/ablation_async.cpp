@@ -15,6 +15,9 @@
 //    win grows with per-task computation — the paper's §V prediction that
 //    async queuing pays off exactly when "the single task is time-consuming
 //    to GPU".
+//
+// Exit codes: 0 ok (shape checks print PASS/MISS but do not fail the run);
+// 2 the two modes' spectra differ bitwise in some row.
 
 #include <cstdint>
 #include <cstdio>
@@ -143,5 +146,11 @@ int main() {
                "Hyper-Q adds kernel concurrency on top: expensive tasks gain "
                "more on Kepler (the paper's §V prediction)");
   std::printf("\ncsv: ablation_async.csv\n");
+  if (!all_identical) {
+    std::fprintf(stderr,
+                 "ablation_async: synchronous and pipelined spectra differ "
+                 "bitwise\n");
+    return 2;
+  }
   return 0;
 }

@@ -13,14 +13,15 @@
 // (Wall-clock performance claims come from the DES in src/sim, which drives
 // the very same TaskScheduler.)
 //
-// Two execution modes share every scheduling decision:
+// Two execution modes share every scheduling decision, the one per-rank
+// FIFO executor and the one RRC task body (core/fifo_executor.h,
+// core/rrc_task.h):
 //  * synchronous — the paper's shipped mode: the rank blocks on each GPU
 //    task and re-uploads the bin edges every time (kept as the ablation
 //    baseline);
 //  * pipelined — the §V remedy: per-rank streams, resident edge cache and
-//    double-buffered accumulators (core/async_executor.h). Spectra are
-//    bit-identical between the modes; only the virtual timeline and the
-//    PCIe byte counts differ.
+//    double-buffered accumulators. Spectra are bit-identical between the
+//    modes; only the virtual timeline and the PCIe byte counts differ.
 // Grid points are distributed by the work-stealing PointWorkQueue in shm
 // (each rank drains its own contiguous range, then steals from the most
 // loaded victim) instead of the old static split, so a slow rank no longer
@@ -49,8 +50,6 @@ class FaultPlan;
 }
 
 namespace hspec::core {
-
-enum class ExecutionMode { synchronous, pipelined };
 
 struct HybridConfig {
   int ranks = 4;

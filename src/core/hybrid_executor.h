@@ -10,8 +10,8 @@
 // device. HybridExecutor hoists the device stack into a constructed-once
 // handle:
 //
-//  * the DeviceRegistry, SchedulerShm, per-device BufferPools and
-//    DevicePipelines (stream scheduler + resident edge cache) live for the
+//  * the DeviceRegistry, SchedulerShm and per-device DevicePipelines
+//    (buffer pool + stream scheduler + resident edge cache) live for the
 //    executor's lifetime — batch N+1 reuses batch N's pools and resident
 //    edges, so steady-state batches pay zero device allocations and zero
 //    edge re-uploads;
@@ -36,12 +36,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/async_executor.h"
+#include "core/fifo_executor.h"
 #include "core/hybrid.h"
 #include "core/sched_policy.h"
 #include "core/shm.h"
 #include "util/thread_annotations.h"
-#include "vgpu/buffer_pool.h"
 #include "vgpu/device.h"
 
 namespace hspec::core {
@@ -55,9 +54,9 @@ namespace hspec::core {
 class BatchAccumulator {
  public:
   /// Fold one rank's scheduler stats, recovery accounting, task count and
-  /// (when pipelined) async-executor stats into the batch totals.
+  /// executor stats into the batch totals.
   void merge_rank(const SchedulerStats& sched, const FaultStats& fs,
-                  std::size_t tasks, const AsyncGpuExecutor::Stats* async)
+                  std::size_t tasks, const FifoExecutor::Stats& exec)
       HSPEC_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     scheduling_.gpu_allocations += sched.gpu_allocations;
@@ -73,10 +72,8 @@ class BatchAccumulator {
     faults_.gpu_completed += fs.gpu_completed;
     faults_.cpu_completed += fs.cpu_completed;
     tasks_total_ += tasks;
-    if (async != nullptr) {
-      tasks_pipelined_ += async->gpu_tasks;
-      max_in_flight_ = std::max(max_in_flight_, async->max_in_flight);
-    }
+    tasks_pipelined_ += exec.tasks_pipelined;
+    max_in_flight_ = std::max(max_in_flight_, exec.max_in_flight);
   }
 
   /// Copy the aggregate into `result` (scheduling, faults, tasks_total and
@@ -103,8 +100,8 @@ class BatchAccumulator {
 class HybridExecutor {
  public:
   /// Builds the device stack once: registry, shm scheduler segment, one
-  /// BufferPool and DevicePipeline per device. Validates `config` exactly
-  /// as HybridDriver does.
+  /// DevicePipeline per device. Validates `config` exactly as HybridDriver
+  /// does.
   HybridExecutor(const apec::SpectrumCalculator& calculator,
                  HybridConfig config);
   ~HybridExecutor();
@@ -151,7 +148,6 @@ class HybridExecutor {
   /// every rank calls its read-only assign() through timed_assign.
   std::unique_ptr<SchedulingPolicy> policy_;
   int n_dev_ = 0;
-  std::vector<std::unique_ptr<vgpu::BufferPool>> pools_;
   std::vector<std::unique_ptr<DevicePipeline>> pipes_;
   std::vector<DevicePipeline*> pipe_views_;
   std::atomic<std::uint64_t> batches_{0};

@@ -17,6 +17,10 @@ namespace hspec::core {
 
 enum class TaskGranularity { ion, level };
 
+/// How a rank executes its GPU tasks (core/fifo_executor.h): the paper's
+/// synchronous mode, or the pipelined §V remedy.
+enum class ExecutionMode { synchronous, pipelined };
+
 std::string to_string(TaskGranularity g);
 
 /// One schedulable unit of spectral work.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
@@ -38,6 +39,20 @@ void validate(const std::vector<apec::GridPoint>& points) {
     if (why != nullptr)
       throw InvalidRequest("point " + std::to_string(i) + ": " + why);
   }
+}
+
+bool all_finite(const std::vector<double>& bins) {
+  return std::all_of(bins.begin(), bins.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
+std::string describe(std::size_t index, const apec::GridPoint& p) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "point %zu (kT %g keV, ne %g cm^-3, t %g s): spectrum is not "
+                "finite",
+                index, p.kT_keV, p.ne_cm3, p.time_s);
+  return buf;
 }
 
 }  // namespace
@@ -180,6 +195,8 @@ void SpectralService::dispatch(std::vector<std::unique_ptr<Request>> group) {
   std::map<GridKey, std::size_t> slot_of;
 
   std::vector<ServiceReply> replies(group.size());
+  // Why a request fails although its batch ran (empty: it succeeds).
+  std::vector<std::string> failures(group.size());
   for (std::size_t r = 0; r < group.size(); ++r) {
     Request& req = *group[r];
     ServiceReply& reply = replies[r];
@@ -230,6 +247,16 @@ void SpectralService::dispatch(std::vector<std::unique_ptr<Request>> group) {
     raise_max(max_batch_requests_, contributing);
 
     for (std::size_t s = 0; s < batch_points.size(); ++s) {
+      // A non-finite spectrum (a kT too small for the population solve,
+      // say) is neither cached nor served: only the requests that asked
+      // for the point fail, and the rest of the batch is delivered.
+      if (!all_finite(result.spectra[s].values())) {
+        for (const Consumer& c : consumers[s])
+          if (failures[c.request].empty())
+            failures[c.request] =
+                describe(c.point, group[c.request]->points[c.point]);
+        continue;
+      }
       auto bins =
           std::make_shared<std::vector<double>>(result.spectra[s].values());
       cache_.insert(batch_points[s], bins);
@@ -247,6 +274,11 @@ void SpectralService::dispatch(std::vector<std::unique_ptr<Request>> group) {
   }
 
   for (std::size_t r = 0; r < group.size(); ++r) {
+    if (!failures[r].empty()) {
+      group[r]->promise.set_exception(
+          std::make_exception_ptr(InvalidRequest(failures[r])));
+      continue;
+    }
     // Count before fulfilling: a client observing its ticket ready must
     // also observe itself counted.
     requests_completed_.fetch_add(1, std::memory_order_relaxed);

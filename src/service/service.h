@@ -85,6 +85,10 @@ class ServiceStopped : public std::runtime_error {
 
 /// submit() verdict for a point outside the physical domain: kT, ne or t
 /// not finite, kT <= 0, ne <= 0 or t < 0. Nothing is queued or cached.
+/// Also the Ticket::wait() verdict for a request holding a point whose
+/// computed spectrum is not finite (e.g. a kT too small for the population
+/// solve): that spectrum is never cached, and only the requests that asked
+/// for the point fail.
 class InvalidRequest : public std::invalid_argument {
  public:
   explicit InvalidRequest(const std::string& what)
@@ -153,7 +157,8 @@ class SpectralService {
   };
 
   /// Thread-safe submit. Throws InvalidRequest for a point outside the
-  /// physical domain, before admission. Blocks or throws ServiceOverloaded
+  /// physical domain, before admission (a point that passes but computes a
+  /// non-finite spectrum fails its ticket with InvalidRequest instead). Blocks or throws ServiceOverloaded
   /// at the admission gate per config; throws ServiceStopped after stop().
   Ticket submit(std::vector<apec::GridPoint> points) HSPEC_EXCLUDES(mu_);
 

@@ -16,8 +16,8 @@
 // Lifetime rule: a span returned by alloc() is valid until the next reset()
 // (or destruction), NOT merely until the next alloc(). Ownership rule: an
 // arena has a single owner — one rank's executor lane, one bench thread —
-// and is not thread-safe; concurrent ranks each own one (the per-stream
-// arenas in core::AsyncGpuExecutor). Virtual-device note: this is host
+// and is not thread-safe; concurrent ranks each own one (the per-lane
+// arenas in core::FifoExecutor). Virtual-device note: this is host
 // scratch for kernel emulation; it charges nothing to the device budget.
 
 #include <cstddef>

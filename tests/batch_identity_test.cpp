@@ -20,8 +20,8 @@
 #include "apec/spectrum.h"
 #include "atomic/database.h"
 #include "core/cpu_task_executor.h"
-#include "core/gpu_task_executor.h"
 #include "core/hybrid.h"
+#include "core/rrc_task.h"
 #include "quad/batch.h"
 #include "quad/integrate.h"
 #include "rrc/rrc.h"
@@ -440,9 +440,30 @@ TEST_F(PolicyBatchTest, BatchFlagDoesNotChangeSpectrumBits) {
   }
 }
 
+/// The device placement of the shared task body, driven as the synchronous
+/// executor drives it: upload the edges, launch the levels, read back once,
+/// then the host half (emi, then lines).
+void run_on_device(const apec::SpectrumCalculator& calc,
+                   const core::SpectralTask& task,
+                   const apec::PointPopulations& pops, Device& dev,
+                   apec::Spectrum& out) {
+  const std::size_t n = calc.grid().bin_count();
+  DeviceBuffer edges = dev.alloc((n + 1) * sizeof(double));
+  DeviceBuffer emi = dev.alloc(n * sizeof(double));
+  dev.copy_to_device(edges, calc.grid().edges().data(),
+                     (n + 1) * sizeof(double));
+  ScratchArena arena;
+  core::DeviceLevels place(dev, edges, emi, n, arena);
+  std::vector<double> host(n, 0.0);
+  if (core::integrate_rrc_levels(calc, task, pops, place) > 0)
+    dev.copy_to_host(host.data(), emi, n * sizeof(double));
+  core::finish_rrc_task(calc, task, pops, host, out);
+}
+
 TEST_F(PolicyBatchTest, DegradedExecutorMatchesGpuExecutorBitwise) {
-  // The graceful-degradation path must keep the identity whether or not the
-  // policy batches — all four executor/flag combinations, same bytes.
+  // The graceful-degradation path (the host placement) must keep the
+  // identity with the device placement whether or not the policy batches —
+  // all four placement/flag combinations, same bytes.
   const apec::GridPoint pt{0.5, 1.0, 0.0, 0};
   const auto pops = apec::solve_populations(db_, pt);
   apec::SpectrumCalculator scalar_calc(db_, grid_, options(false));
@@ -455,11 +476,12 @@ TEST_F(PolicyBatchTest, DegradedExecutorMatchesGpuExecutorBitwise) {
   apec::Spectrum gpu_scalar(grid_), gpu_batch(grid_);
   apec::Spectrum deg_scalar(grid_), deg_batch(grid_);
   for (const auto& task : tasks) {
-    core::execute_task_on_gpu(scalar_calc, task, pops, dev, gpu_scalar);
-    core::execute_task_on_gpu(batch_calc, task, pops, dev, gpu_batch);
+    run_on_device(scalar_calc, task, pops, dev, gpu_scalar);
+    run_on_device(batch_calc, task, pops, dev, gpu_batch);
     core::execute_task_degraded(scalar_calc, task, pops, deg_scalar);
     core::execute_task_degraded(batch_calc, task, pops, deg_batch);
   }
+  EXPECT_GT(dev.stats().kernels_launched, 0u);
   expect_bitwise_equal(gpu_scalar.values(), gpu_batch.values(),
                        "gpu batch on/off");
   expect_bitwise_equal(gpu_scalar.values(), deg_scalar.values(),

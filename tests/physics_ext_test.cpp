@@ -1,91 +1,17 @@
-// Tests for the physics extensions: instrument response folding, the
-// two-photon continuum, and the QNG non-adaptive integrator.
+// Tests for the physics extensions: the two-photon continuum.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "apec/calculator.h"
-#include "apec/fitting.h"
-#include "apec/response.h"
 #include "apec/two_photon.h"
-#include "quad/qng.h"
 
 namespace {
 
 using namespace hspec;
 using namespace hspec::apec;
 using namespace hspec::util::unit_literals;
-
-// ------------------------------------------------------------------ response
-
-TEST(Response, ConservesCountsAwayFromEdges) {
-  const auto grid = EnergyGrid::linear(0.5, 5.0, 200);
-  const GaussianResponse rmf(grid, {0.05, 0.5, 5.0});
-  Spectrum model(grid);
-  model[100] = 7.0;  // a line well inside the band
-  const Spectrum folded = rmf.fold(model);
-  EXPECT_NEAR(folded.total(), 7.0, 1e-9);
-}
-
-TEST(Response, BroadensALine) {
-  const auto grid = EnergyGrid::linear(0.5, 5.0, 200);
-  const GaussianResponse rmf(grid);
-  Spectrum model(grid);
-  model[100] = 1.0;
-  const Spectrum folded = rmf.fold(model);
-  // Peak drops, neighbours fill in, center stays put.
-  EXPECT_LT(folded[100], 1.0);
-  EXPECT_GT(folded[100], folded[97]);
-  EXPECT_GT(folded[99], 0.0);
-  EXPECT_GT(folded[101], 0.0);
-  std::size_t peak = 0;
-  for (std::size_t b = 1; b < folded.bin_count(); ++b)
-    if (folded[b] > folded[peak]) peak = b;
-  EXPECT_EQ(peak, 100u);
-}
-
-TEST(Response, ResolutionDegradesWithEnergyByAlpha) {
-  const auto grid = EnergyGrid::linear(0.5, 8.0, 400);
-  const GaussianResponse rmf(grid, {0.05, 0.5, 5.0});
-  auto width_at = [&](std::size_t bin) {
-    Spectrum model(grid);
-    model[bin] = 1.0;
-    const Spectrum folded = rmf.fold(model);
-    // Count bins above half the folded peak.
-    double peak = 0.0;
-    for (std::size_t b = 0; b < folded.bin_count(); ++b)
-      peak = std::max(peak, folded[b]);
-    std::size_t above = 0;
-    for (std::size_t b = 0; b < folded.bin_count(); ++b)
-      if (folded[b] > 0.5 * peak) ++above;
-    return above;
-  };
-  EXPECT_GT(width_at(350), width_at(50));  // higher E, wider response
-}
-
-TEST(Response, SmoothContinuumNearlyUnchanged) {
-  const auto grid = EnergyGrid::linear(0.5, 5.0, 200);
-  const GaussianResponse rmf(grid);
-  Spectrum model(grid);
-  for (std::size_t b = 0; b < 200; ++b)
-    model[b] = std::exp(-grid.center(b));
-  const Spectrum folded = rmf.fold(model);
-  for (std::size_t b = 20; b < 180; ++b)
-    EXPECT_NEAR(folded[b], model[b], 0.05 * model[b]) << "bin " << b;
-}
-
-TEST(Response, ValidatesInput) {
-  const auto grid = EnergyGrid::linear(0.5, 5.0, 10);
-  EXPECT_THROW(GaussianResponse(grid, {0.0, 0.5, 5.0}),
-               std::invalid_argument);
-  EXPECT_THROW(GaussianResponse(grid, {0.05, 0.5, 0.5}),
-               std::invalid_argument);
-  const GaussianResponse rmf(grid);
-  const auto other = EnergyGrid::linear(0.5, 5.0, 11);
-  Spectrum wrong(other);
-  EXPECT_THROW(rmf.fold(wrong), std::invalid_argument);
-}
 
 // ---------------------------------------------------------------- two-photon
 
@@ -150,70 +76,6 @@ TEST(TwoPhoton, CalculatorOptionAddsContinuum) {
   const auto with =
       SpectrumCalculator(db, grid, on).calculate({0.4, 1.0, 0.0, 0});
   EXPECT_GT(with.total(), without.total());
-}
-
-// ----------------------------------------------------------------------- QNG
-
-TEST(Qng, SmoothIntegrandOneRule) {
-  auto f = [](double x) { return std::cos(x); };
-  const auto r = quad::qng(f, 0.0, 1.0, {1e-10, 1e-10});
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.value, std::sin(1.0), 1e-10);
-  EXPECT_EQ(r.evaluations, 15u);  // GK15 suffices
-}
-
-TEST(Qng, EscalatesToK21) {
-  auto f = [](double x) { return std::exp(-30.0 * x) * std::sin(40.0 * x); };
-  const auto r = quad::qng(f, 0.0, 1.0, {1e-10, 1e-10});
-  EXPECT_GE(r.evaluations, 15u + 21u);  // needed the bigger rule (or failed)
-}
-
-TEST(Qng, ReportsFailureOnHardIntegrands) {
-  auto f = [](double x) { return 1.0 / std::sqrt(x > 0.0 ? x : 1e-300); };
-  const auto r = quad::qng(f, 0.0, 1.0, {1e-10, 1e-10});
-  EXPECT_FALSE(r.converged);  // non-adaptive rules cannot do singularities
-}
-
-TEST(Qng, EmptyInterval) {
-  auto f = [](double) { return 1.0; };
-  const auto r = quad::qng(f, 3.0, 3.0);
-  EXPECT_DOUBLE_EQ(r.value, 0.0);
-  EXPECT_TRUE(r.converged);
-}
-
-// ------------------------------------------- response inside the fit loop
-
-TEST(ResponseFit, FoldedModelsStillRecoverTheTemperature) {
-  // The realistic XSPEC workflow: the observation is the truth folded
-  // through the instrument response, and every trial model folds through
-  // the same response before the chi-squared comparison.
-  atomic::DatabaseConfig db_cfg;
-  db_cfg.max_z = 8;
-  db_cfg.levels = {2, true};
-  atomic::AtomicDatabase db(db_cfg);
-  const auto grid = EnergyGrid::wavelength(2.0, 40.0, 64);
-  CalcOptions opt;
-  opt.integration.adaptive = false;
-  SpectrumCalculator calc(db, grid, opt);
-  const GaussianResponse rmf(grid, {0.03, 0.5, 5.0});
-
-  const double kT_true = 0.6;
-  const Spectrum folded_truth = rmf.fold(calc.calculate({kT_true, 1.0, 0.0, 0}));
-  ObservedSpectrum obs;
-  obs.counts.assign(folded_truth.values().begin(),
-                    folded_truth.values().end());
-  obs.sigma.assign(folded_truth.bin_count(),
-                   1e-3 * folded_truth.peak() + 1e-30);
-
-  auto model = [&](double kT) {
-    return rmf.fold(calc.calculate({kT, 1.0, 0.0, 0}));
-  };
-  FitOptions fit_opt;
-  fit_opt.kt_min_keV = 0.2;
-  fit_opt.kt_max_keV = 2.0;
-  const FitResult fit = fit_temperature(obs, model, fit_opt);
-  EXPECT_NEAR(fit.kT_keV, kT_true, 0.02 * kT_true);
-  EXPECT_LT(fit.reduced_chi2, 0.1);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "atomic/ion_balance.h"
@@ -135,17 +136,25 @@ TEST(SimFuzz, InvariantsOverRandomConfigurations) {
 
 // -------------------------------------------------- integrator order sweeps
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must hold no padding: `zero` fills the gap after the 4-byte enum, which
+// would otherwise carry stack garbage and change the test names run to run.
 struct MethodCase {
   quad::KernelMethod method;
+  std::uint32_t zero = 0;
   std::size_t coarse;
   std::size_t fine;
   double expected_gain;  // error(coarse)/error(fine) lower bound
 };
+static_assert(sizeof(MethodCase) == sizeof(quad::KernelMethod) +
+                                       sizeof(std::uint32_t) +
+                                       2 * sizeof(std::size_t) +
+                                       sizeof(double));
 
 class ConvergenceSweep : public ::testing::TestWithParam<MethodCase> {};
 
 TEST_P(ConvergenceSweep, ErrorDropsAtTheMethodRate) {
-  const auto [method, coarse, fine, expected_gain] = GetParam();
+  const auto [method, zero, coarse, fine, expected_gain] = GetParam();
   auto f = [](double x) { return std::exp(-x) * (1.0 + std::sin(2.0 * x)); };
   // Reference via a very fine evaluation of the same family.
   const double exact =
@@ -163,10 +172,10 @@ TEST_P(ConvergenceSweep, ErrorDropsAtTheMethodRate) {
 INSTANTIATE_TEST_SUITE_P(
     Methods, ConvergenceSweep,
     ::testing::Values(
-        MethodCase{quad::KernelMethod::simpson, 8, 16, 8.0},     // ~2^4
-        MethodCase{quad::KernelMethod::trapezoid, 8, 16, 3.0},   // ~2^2
-        MethodCase{quad::KernelMethod::romberg, 3, 5, 10.0},     // superalg.
-        MethodCase{quad::KernelMethod::gauss, 4, 8, 50.0}));     // spectral
+        MethodCase{quad::KernelMethod::simpson, 0, 8, 16, 8.0},    // ~2^4
+        MethodCase{quad::KernelMethod::trapezoid, 0, 8, 16, 3.0},  // ~2^2
+        MethodCase{quad::KernelMethod::romberg, 0, 3, 5, 10.0},    // superalg.
+        MethodCase{quad::KernelMethod::gauss, 0, 4, 8, 50.0}));    // spectral
 
 // -------------------------------------------------------- physics properties
 

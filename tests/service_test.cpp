@@ -10,6 +10,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -398,6 +399,46 @@ TEST(SpectralService, InvalidPointsAreRejectedAtSubmit) {
   for (const auto& spectrum : reply.spectra)
     for (double v : spectrum.values()) EXPECT_TRUE(std::isfinite(v));
   EXPECT_EQ(svc.telemetry().requests_submitted, 2u);
+  EXPECT_EQ(svc.cache_stats().entries, 2u);
+}
+
+TEST(SpectralService, NonFiniteSpectraFailOnlyTheirRequestsAndAreNotCached) {
+  // kT = 1e-30 keV passes submit() but its population solve yields an
+  // all-NaN spectrum. Both requests ride one batch (queued before start):
+  // the one holding the bad point fails naming it, the other is served.
+  Workload w;
+  ServiceConfig cfg;
+  cfg.hybrid = Workload::hybrid_config();
+  cfg.autostart = false;
+  SpectralService svc(w.calc, cfg);
+  auto bad = svc.submit({point_at(0.6), point_at(1e-30)});
+  auto good = svc.submit({point_at(0.6)});
+  svc.start();
+
+  try {
+    bad.wait();
+    ADD_FAILURE() << "a request with a non-finite spectrum succeeded";
+  } catch (const service::InvalidRequest& e) {
+    EXPECT_NE(std::string(e.what()).find("point 1"), std::string::npos)
+        << e.what();
+  }
+  const auto served = good.wait();
+  ASSERT_EQ(served.spectra.size(), 1u);
+  EXPECT_EQ(svc.telemetry().batches, 1u);
+  EXPECT_EQ(svc.cache_stats().entries, 1u);  // the valid point only
+
+  core::HybridDriver direct(w.calc, Workload::hybrid_config());
+  const auto truth = direct.run({point_at(0.6), point_at(0.9)});
+  const auto next = svc.submit({point_at(0.9)}).wait();
+  ASSERT_EQ(next.spectra.size(), 1u);
+  EXPECT_EQ(std::memcmp(next.spectra[0].values().data(),
+                        truth.spectra[1].values().data(),
+                        truth.spectra[1].bin_count() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(served.spectra[0].values().data(),
+                        truth.spectra[0].values().data(),
+                        truth.spectra[0].bin_count() * sizeof(double)),
+            0);
   EXPECT_EQ(svc.cache_stats().entries, 2u);
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -112,6 +114,35 @@ TEST_F(PipelineTest, ResidentCacheSavesMostH2DTraffic) {
   EXPECT_EQ(async.pipeline.cache_misses,
             static_cast<std::uint64_t>(async.device_stats.size()));
   EXPECT_GT(async.pipeline.bytes_h2d_saved, 0u);
+}
+
+TEST_F(PipelineTest, SynchronousModeKeepsThePaperAccounting) {
+  // The paper baseline: every GPU RRC task uploads the bin edges once and
+  // nothing else, no stream opens, the resident cache is never consulted,
+  // and the makespan is the busiest device's serialized busy time.
+  const auto pts = points(2);
+  for (TaskGranularity g : {TaskGranularity::ion, TaskGranularity::level}) {
+    const HybridResult sync = run(ExecutionMode::synchronous, 4, 2, pts, g);
+    ASSERT_EQ(sync.scheduling.cpu_fallbacks, 0);
+    std::uint64_t rrc_tasks = 0;
+    for (const apec::GridPoint& pt : pts) {
+      const auto pops = apec::solve_populations(db_, pt);
+      for (const SpectralTask& task : make_tasks(calc_, pt, pops, g))
+        if (!task.ion.is_free_free() && task.ion.emits_rrc()) ++rrc_tasks;
+    }
+    ASSERT_GT(rrc_tasks, 0u);
+    std::uint64_t h2d = 0;
+    for (const auto& st : sync.device_stats) h2d += st.bytes_h2d;
+    EXPECT_EQ(h2d, rrc_tasks * (grid_.bin_count() + 1) * sizeof(double))
+        << to_string(g);
+    EXPECT_EQ(sync.pipeline.streams_used, 0u);
+    EXPECT_EQ(sync.pipeline.cache_hits, 0u);
+    EXPECT_EQ(sync.pipeline.cache_misses, 0u);
+    ASSERT_EQ(sync.device_sync_time_s.size(), 2u);
+    EXPECT_EQ(sync.virtual_makespan_s,
+              std::max(sync.device_sync_time_s[0],
+                       sync.device_sync_time_s[1]));
+  }
 }
 
 TEST_F(PipelineTest, PipelineShortensTheVirtualTimeline) {
