@@ -1,5 +1,6 @@
 #include "rrc/rrc_batch.h"
 
+#include <functional>
 #include <stdexcept>
 
 #include "atomic/constants.h"
@@ -11,50 +12,74 @@ namespace {
 
 namespace fm = util::fm;
 
-// The loop bodies mirror rrc_power_density operation for operation (see the
-// bitwise contract in the header): ee < 0 selects the below-threshold zero,
-// the Kramers/Milne product keeps the scalar association
+// The per-abscissa bodies mirror rrc_power_density operation for operation
+// (see the bitwise contract in the header): the Kramers/Milne product keeps
+// the scalar association
 //   sigma0 * (n/z2) * r * r * r,  (e*e / me_c2) * sigma,  a * exp * e,
-// and the Gaunt select multiplies by exactly 1.0 at or below the edge, which
-// is what the scalar branch does. Lanes that the final select discards may
-// compute garbage (e <= 0 gives a nonsense ratio) — that is fine, they are
-// never observed, and none of the ops can trap.
+// the Gaunt factor is exactly 1.0 at or below the edge, which is what the
+// scalar branch returns, and ee < 0 selects the below-threshold zero. Every
+// value is computed unconditionally and the branches are fm::select blends,
+// so the loops are select-only and vectorize. Lanes that a select discards
+// may compute garbage (e <= 0 gives a nonsense ratio) — that is fine, they
+// are never observed, and none of the ops can trap. The helpers are
+// always_inline because GCC -O2 leaves them out of line, and a call in the
+// loop body stops vectorization.
 
-HSPEC_VEC_TARGET void eval_nogaunt(double binding, double kt, double pref,
-                                   double n_over_z2, const double* xs,
-                                   double* ys, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = xs[i];
-    const double ee = e - binding;
-    const double ratio = binding / e;
-    const double sigma_ph =
-        atomic::kKramersSigma0 * n_over_z2 * ratio * ratio * ratio;
-    const double ee_sigma = e * e / atomic::kElectronRestKeV * sigma_ph;
-    const double a = ee_sigma * fm::exp(-ee / kt) * e;
-    ys[i] = ee < 0.0 ? 0.0 : pref * a;
-  }
+struct Channel {
+  double binding;    ///< level threshold I [keV]
+  double kt;         ///< electron temperature [keV]
+  double pref;       ///< maxwellian_prefactor(plasma)
+  double n_over_z2;  ///< n / Z^2 of the Kramers cross section
+};
+
+// Kramers/Milne emissivity before the prefactor and the threshold select.
+[[gnu::always_inline]] inline double kramers_milne(const Channel& c,
+                                                   double e) {
+  const double ee = e - c.binding;
+  const double ratio = c.binding / e;
+  const double sigma_ph =
+      atomic::kKramersSigma0 * c.n_over_z2 * ratio * ratio * ratio;
+  const double ee_sigma = e * e / atomic::kElectronRestKeV * sigma_ph;
+  return ee_sigma * fm::exp(-ee / c.kt) * e;
 }
 
-HSPEC_VEC_TARGET void eval_gaunt(double binding, double kt, double pref,
-                                 double n_over_z2, const double* xs,
-                                 double* ys, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = xs[i];
-    const double ee = e - binding;
-    const double ratio = binding / e;
-    const double sigma_ph =
-        atomic::kKramersSigma0 * n_over_z2 * ratio * ratio * ratio;
-    const double ee_sigma = e * e / atomic::kElectronRestKeV * sigma_ph;
-    const double a = ee_sigma * fm::exp(-ee / kt) * e;
-    const double ratio_g = e / binding;
-    const double lg = fm::log(ratio_g);
-    const double g = ratio_g <= 1.0
-                         ? 1.0
-                         : 1.0 + 0.1727 * lg -
-                               0.0496 * lg * lg / (1.0 + 0.5 * lg);
-    const double ag = a * g;
-    ys[i] = ee < 0.0 ? 0.0 : pref * ag;
-  }
+[[gnu::always_inline]] inline double nogaunt_at(const Channel& c, double e) {
+  const double a = kramers_milne(c, e);
+  return fm::select(e - c.binding < 0.0, 0.0, c.pref * a);
+}
+
+[[gnu::always_inline]] inline double gaunt_at(const Channel& c, double e) {
+  const double a = kramers_milne(c, e);
+  const double ratio_g = e / c.binding;
+  const double lg = fm::log(ratio_g);
+  const double g =
+      fm::select(ratio_g <= 1.0, 1.0,
+                 1.0 + 0.1727 * lg - 0.0496 * lg * lg / (1.0 + 0.5 * lg));
+  const double ag = a * g;
+  return fm::select(e - c.binding < 0.0, 0.0, c.pref * ag);
+}
+
+// Each loop runs over whole 4-lane vectors first and then the scalar tail:
+// GCC's -O2 cost model (very-cheap) vectorizes a loop only when no scalar
+// epilogue is needed, i.e. when the trip count is a known multiple of the
+// vector length. The loops marked "vector loop" must vectorize with 32-byte
+// vectors (4 lanes); the rrc_batch_vectorized test checks it at build time.
+
+HSPEC_VEC_TARGET void eval_nogaunt(const Channel c,
+                                   const double* __restrict xs,
+                                   double* __restrict ys, std::size_t n) {
+  const std::size_t nv = n & ~std::size_t{3};
+  for (std::size_t i = 0; i < nv; ++i)  // vector loop
+    ys[i] = nogaunt_at(c, xs[i]);
+  for (std::size_t i = nv; i < n; ++i) ys[i] = nogaunt_at(c, xs[i]);
+}
+
+HSPEC_VEC_TARGET void eval_gaunt(const Channel c, const double* __restrict xs,
+                                 double* __restrict ys, std::size_t n) {
+  const std::size_t nv = n & ~std::size_t{3};
+  for (std::size_t i = 0; i < nv; ++i)  // vector loop
+    ys[i] = gaunt_at(c, xs[i]);
+  for (std::size_t i = nv; i < n; ++i) ys[i] = gaunt_at(c, xs[i]);
 }
 
 }  // namespace
@@ -78,12 +103,17 @@ void RrcBatchIntegrand::operator()(std::span<const double> xs,
                                    std::span<double> ys) const {
   if (ys.size() < xs.size())
     throw std::out_of_range("RrcBatchIntegrand: output span too small");
+  // The loops take restrict pointers (a runtime alias check would stop the
+  // -O2 vectorizer), so overlapping spans would be undefined behaviour.
+  const std::less<> before;
+  if (before(xs.data(), ys.data() + xs.size()) &&
+      before(ys.data(), xs.data() + xs.size()))
+    throw std::invalid_argument("RrcBatchIntegrand: xs and ys overlap");
+  const Channel c{binding_, kt_, prefactor_, n_over_z2_};
   if (gaunt_)
-    eval_gaunt(binding_, kt_, prefactor_, n_over_z2_, xs.data(), ys.data(),
-               xs.size());
+    eval_gaunt(c, xs.data(), ys.data(), xs.size());
   else
-    eval_nogaunt(binding_, kt_, prefactor_, n_over_z2_, xs.data(), ys.data(),
-                 xs.size());
+    eval_nogaunt(c, xs.data(), ys.data(), xs.size());
 }
 
 }  // namespace hspec::rrc

@@ -31,7 +31,8 @@ class RrcBatchIntegrand {
   RrcBatchIntegrand(const RrcChannel& ch, const PlasmaState& plasma);
 
   /// ys[i] = dP/dE(xs[i]) for every i; ys.size() >= xs.size().
-  /// Matches quad::BatchIntegrand.
+  /// Matches quad::BatchIntegrand. Throws std::out_of_range if ys is too
+  /// small and std::invalid_argument if the spans overlap.
   void operator()(std::span<const double> xs, std::span<double> ys) const;
 
  private:

@@ -30,8 +30,8 @@ void validate(const std::vector<apec::GridPoint>& points) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const apec::GridPoint& p = points[i];
     const char* why = nullptr;
-    if (!std::isfinite(p.kT_keV) || !(p.kT_keV > 0.0))
-      why = "kT must be finite and > 0";
+    if (!std::isfinite(p.kT_keV) || !(p.kT_keV >= kMinKT_keV))
+      why = "kT must be finite and >= 1e-5 keV";
     else if (!std::isfinite(p.ne_cm3) || !(p.ne_cm3 > 0.0))
       why = "ne must be finite and > 0";
     else if (!std::isfinite(p.time_s) || p.time_s < 0.0)
@@ -247,7 +247,7 @@ void SpectralService::dispatch(std::vector<std::unique_ptr<Request>> group) {
     raise_max(max_batch_requests_, contributing);
 
     for (std::size_t s = 0; s < batch_points.size(); ++s) {
-      // A non-finite spectrum (a kT too small for the population solve,
+      // A non-finite spectrum (an ne so large the emissivity overflows,
       // say) is neither cached nor served: only the requests that asked
       // for the point fail, and the rest of the batch is delivered.
       if (!all_finite(result.spectra[s].values())) {

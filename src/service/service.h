@@ -83,12 +83,24 @@ class ServiceStopped : public std::runtime_error {
       : std::runtime_error("SpectralService: service is stopped") {}
 };
 
+/// Smallest electron temperature submit() accepts [keV] (about 116 K).
+/// Below it apec::solve_populations overflows: the mean ionization per H
+/// atom underflows to a subnormal and n_H = ne / (electrons per H) becomes
+/// infinite, so every spectrum is NaN. Found by bisecting log10 kT for the
+/// smallest kT whose populations (n_H, the Z^2-weighted density and every
+/// n_{Z,j}) are all finite, with the default database (Z <= 30): 8.7e-6 keV
+/// at ne = 1e-10, 9.0e-6 at ne = 1, 9.8e-6 at ne = 1e25 cm^-3 (the bound
+/// creeps up with ne). 1e-5 keV rounds that up and holds for ne up to about
+/// 1e28 cm^-3; a denser point can still overflow and is caught by the
+/// finite-spectrum check instead.
+inline constexpr double kMinKT_keV = 1e-5;
+
 /// submit() verdict for a point outside the physical domain: kT, ne or t
-/// not finite, kT <= 0, ne <= 0 or t < 0. Nothing is queued or cached.
-/// Also the Ticket::wait() verdict for a request holding a point whose
-/// computed spectrum is not finite (e.g. a kT too small for the population
-/// solve): that spectrum is never cached, and only the requests that asked
-/// for the point fail.
+/// not finite, kT < kMinKT_keV, ne <= 0 or t < 0. Nothing is queued or
+/// cached. Also the Ticket::wait() verdict for a request holding a point
+/// whose computed spectrum is not finite (e.g. an ne so large the emissivity
+/// overflows): that spectrum is never cached, and only the requests that
+/// asked for the point fail.
 class InvalidRequest : public std::invalid_argument {
  public:
   explicit InvalidRequest(const std::string& what)

@@ -18,12 +18,24 @@
 // infinities — callers integrate Maxwellian tails where exp(-708) ~ 3e-308 is
 // already zero emissivity.
 //
-// Vectorization notes (why the code looks the way it does):
-//  * the exponent extraction in exp() uses the 2^52+2^51 shifter trick
-//    instead of lrint/static_cast — AVX2 has no int64<->double converts
-//    (those need AVX-512DQ), so a cast would block vectorization;
-//  * the branchless clamp and the bit-level scale construction keep the loop
-//    body select-only, so GCC turns the whole body into blends.
+// Vectorization notes (why the code looks the way it does). The batch loops
+// in src/rrc/rrc_batch.cpp vectorize only when everything they inline is
+// select-only and has a 4-lane AVX2 form; the rrc_batch_vectorized ctest
+// checks that they do. Each construct below once kept them scalar:
+//  * exp() extracts the exponent with the 2^52+2^51 shifter trick and log()
+//    converts it with the exact 2^52 mantissa trick, not a cast: AVX2 has no
+//    int64<->double converts (those need AVX-512DQ);
+//  * exp() clamps with two unconditional compares: GCC will not if-convert a
+//    compare nested under another one, because under -ftrapping-math a
+//    compare may trap;
+//  * log() keeps its hi adjustment 64-bit: a 32-bit temporary makes the
+//    vectorizer pick 8 lanes, and AVX2 has no 8-lane double vector;
+//  * select() blends two computed values through a bit mask: given a ?: with
+//    arithmetic in an arm, GCC sinks that arithmetic under a branch and then
+//    cannot if-convert it;
+//  * exp() and log() are always_inline: GCC -O2 keeps them out of line, and
+//    an out-of-line call from an AVX2 loop runs the baseline code, where each
+//    std::fma is a libm call.
 
 #include <bit>
 #include <cstdint>
@@ -42,12 +54,13 @@
 namespace hspec::util::fm {
 
 /// Deterministic e^x (clamped to [-708, 708]; ~1 ulp).
-inline double exp(double x) noexcept {
+[[gnu::always_inline]] inline double exp(double x) noexcept {
   constexpr double kLog2e = 1.4426950408889634074;
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
   constexpr double kShifter = 6755399441055744.0;  // 2^52 + 2^51
-  const double xc = x < -708.0 ? -708.0 : (x > 708.0 ? 708.0 : x);
+  double xc = x < -708.0 ? -708.0 : x;
+  xc = xc > 708.0 ? 708.0 : xc;
   // Cody-Waite reduction: n = round(x log2 e), r = x - n ln 2 (hi + lo).
   const double t = std::fma(xc, kLog2e, kShifter);
   const double n = t - kShifter;
@@ -78,7 +91,7 @@ inline double exp(double x) noexcept {
 }
 
 /// Deterministic ln(x) for normal positive x (~1 ulp, fdlibm formulation).
-inline double log(double x) noexcept {
+[[gnu::always_inline]] inline double log(double x) noexcept {
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
   const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
@@ -86,10 +99,14 @@ inline double log(double x) noexcept {
   // sqrt(2)'s get exponent -1, pushing m below sqrt(2).
   constexpr std::uint64_t kSqrt2Mant = 0x6A09E667F3BCDull;
   const std::uint64_t mant = bits & 0xFFFFFFFFFFFFFull;
-  const std::uint64_t hi = mant >= kSqrt2Mant ? 1u : 0u;
+  const std::uint64_t hi = mant >= kSqrt2Mant ? 1ull : 0ull;
+  // ed = (bits >> 52) - 1023 + hi: the biased exponent plus hi is below
+  // 2^52, so OR-ing it into the mantissa of 2^52 and subtracting 2^52 + 1023
+  // is exact.
+  constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ull;  // 2^52
   const double ed =
-      static_cast<double>(static_cast<std::int64_t>(bits >> 52) - 1023 +
-                          static_cast<std::int64_t>(hi));
+      std::bit_cast<double>(kTwo52Bits | ((bits >> 52) + hi)) -
+      (4503599627370496.0 + 1023.0);
   const double m = std::bit_cast<double>(mant | ((1023ull - hi) << 52));
   // log(m) via the atanh identity s = (m-1)/(m+1) with fdlibm's minimax
   // coefficients for the even remainder series.
@@ -107,6 +124,16 @@ inline double log(double x) noexcept {
   const double hfsq = 0.5 * f * f;
   const double k1 = std::fma(s, hfsq + r, ed * kLn2Lo);
   return std::fma(ed, kLn2Hi, f - (hfsq - k1));
+}
+
+/// `cond ? a : b` as a bit-mask blend of two values the caller has already
+/// computed; the data dependence through the mask keeps both unconditional
+/// (see the vectorization notes above).
+[[gnu::always_inline]] inline double select(bool cond, double a,
+                                            double b) noexcept {
+  const std::uint64_t m = -static_cast<std::uint64_t>(cond);
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(a) & m) |
+                               (std::bit_cast<std::uint64_t>(b) & ~m));
 }
 
 }  // namespace hspec::util::fm

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -170,6 +171,53 @@ TEST(BatchRules, CombineReplaysIntegrateBitwiseAllMethods) {
         << to_string(mc.method);
     EXPECT_EQ(direct.evaluations, replayed.evaluations) << to_string(mc.method);
   }
+}
+
+// ---------------------------------------------- the batch integrand itself
+
+TEST(RrcBatchIntegrand, EveryLaneAndTailMatchesScalarWithAndWithoutGaunt) {
+  // The evaluate loops run whole 4-lane vectors, then a scalar tail: every
+  // span length up to 11 puts each abscissa in both positions. The
+  // abscissae straddle the edge (below it, exactly on it, just above) so
+  // the threshold and Gaunt selects see both outcomes within one vector.
+  RrcPair pair;
+  const double edge = pair.ch.level.binding_keV;
+  const std::vector<double> xs_all{0.5 * edge,
+                                   std::nextafter(edge, 0.0),
+                                   edge,
+                                   std::nextafter(edge, 2.0 * edge),
+                                   1.01 * edge,
+                                   1.5 * edge,
+                                   2.0 * edge,
+                                   5.0 * edge,
+                                   20.0 * edge,
+                                   0.9 * edge,
+                                   3.0 * edge};
+  for (bool gaunt : {true, false}) {
+    pair.ch.gaunt_correction = gaunt;
+    const rrc::RrcBatchIntegrand bf(pair.ch, pair.plasma);
+    for (std::size_t n = 0; n <= xs_all.size(); ++n) {
+      const std::span<const double> xs(xs_all.data(), n);
+      std::vector<double> ys(n, -1.0);
+      bf(xs, ys);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want = pair.scalar(xs[i]);
+        EXPECT_EQ(std::memcmp(&ys[i], &want, sizeof(double)), 0)
+            << "gaunt " << gaunt << " n " << n << " i " << i << ": " << ys[i]
+            << " vs " << want;
+      }
+    }
+  }
+}
+
+TEST(RrcBatchIntegrand, RejectsOverlappingSpans) {
+  const RrcPair pair;
+  const rrc::RrcBatchIntegrand bf(pair.ch, pair.plasma);
+  std::vector<double> buf(8, 1.0);
+  const std::span<double> all(buf);
+  EXPECT_THROW(bf(all.first(4), all.subspan(2, 4)), std::invalid_argument);
+  EXPECT_THROW(bf(all, all), std::invalid_argument);
+  EXPECT_NO_THROW(bf(all.first(4), all.subspan(4, 4)));  // adjacent is fine
 }
 
 // ------------------------------------------------- kernel entry point parity

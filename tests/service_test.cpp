@@ -379,7 +379,10 @@ TEST(SpectralService, InvalidPointsAreRejectedAtSubmit) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<apec::GridPoint> bad;
-  for (double kT : {-1.0, 0.0, nan, inf, -inf}) bad.push_back(point_at(kT));
+  // Tiny positive kT used to pass and compute all-NaN populations.
+  for (double kT : {-1.0, 0.0, nan, inf, -inf, 1e-8, 1e-30, 1e-300,
+                    std::nextafter(service::kMinKT_keV, 0.0)})
+    bad.push_back(point_at(kT));
   for (double ne : {-1.0, 0.0, nan, inf}) {
     bad.push_back(point_at(0.6));
     bad.back().ne_cm3 = ne;
@@ -402,16 +405,30 @@ TEST(SpectralService, InvalidPointsAreRejectedAtSubmit) {
   EXPECT_EQ(svc.cache_stats().entries, 2u);
 }
 
+TEST(SpectralService, KTFloorIsServedWithAFiniteSpectrum) {
+  Workload w;
+  ServiceConfig cfg;
+  cfg.hybrid = Workload::hybrid_config();
+  SpectralService svc(w.calc, cfg);
+  const auto reply = svc.submit({point_at(service::kMinKT_keV)}).wait();
+  ASSERT_EQ(reply.spectra.size(), 1u);
+  for (double v : reply.spectra[0].values()) EXPECT_TRUE(std::isfinite(v));
+  EXPECT_EQ(svc.cache_stats().entries, 1u);
+}
+
 TEST(SpectralService, NonFiniteSpectraFailOnlyTheirRequestsAndAreNotCached) {
-  // kT = 1e-30 keV passes submit() but its population solve yields an
-  // all-NaN spectrum. Both requests ride one batch (queued before start):
-  // the one holding the bad point fails naming it, the other is served.
+  // ne = 1e150 cm^-3 passes submit() but the emissivity (~ ne^2)
+  // overflows, so its spectrum is not finite. Both requests ride one batch
+  // (queued before start): the one holding the bad point fails naming it,
+  // the other is served.
   Workload w;
   ServiceConfig cfg;
   cfg.hybrid = Workload::hybrid_config();
   cfg.autostart = false;
   SpectralService svc(w.calc, cfg);
-  auto bad = svc.submit({point_at(0.6), point_at(1e-30)});
+  apec::GridPoint dense = point_at(0.6);
+  dense.ne_cm3 = 1e150;
+  auto bad = svc.submit({point_at(0.6), dense});
   auto good = svc.submit({point_at(0.6)});
   svc.start();
 

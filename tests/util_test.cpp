@@ -1,14 +1,18 @@
-// Tests for src/util: statistics, histogram, table, cli, rng, function_ref.
+// Tests for src/util: statistics, histogram, table, cli, rng, function_ref,
+// fastmath.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "util/cli.h"
+#include "util/fastmath.h"
 #include "util/function_ref.h"
 #include "util/histogram.h"
 #include "util/rng.h"
@@ -315,6 +319,47 @@ TEST(BenchBanner, ContainsIdAndClaim) {
   const std::string b = bench_banner("Fig. 3", "speedup 196..311");
   EXPECT_NE(b.find("Fig. 3"), std::string::npos);
   EXPECT_NE(b.find("speedup"), std::string::npos);
+}
+
+// fm::exp/fm::log feed both the scalar RRC integrand and its batch twin,
+// so a rewrite that moves both sides together passes every batch==scalar
+// identity test; these tables pin the bits themselves. A NaN output is only
+// checked to be NaN: which NaN comes out depends on the order the compiler
+// gives a commutative op's operands, not on the algorithm.
+struct GoldenBits {
+  std::uint64_t in;
+  std::uint64_t out;
+};
+
+#include "fastmath_golden.inc"
+
+template <std::size_t N>
+void expect_golden(const GoldenBits (&table)[N], double (*f)(double),
+                   const char* name) {
+  int mismatches = 0;
+  for (const GoldenBits& g : table) {
+    const double x = std::bit_cast<double>(g.in);
+    const double want = std::bit_cast<double>(g.out);
+    const double got = f(x);
+    if (std::isnan(want) ? std::isnan(got)
+                         : std::bit_cast<std::uint64_t>(got) == g.out)
+      continue;
+    if (++mismatches <= 10)
+      ADD_FAILURE() << name << "(" << x << " = 0x" << std::hex << g.in
+                    << ") = 0x" << std::bit_cast<std::uint64_t>(got)
+                    << ", golden 0x" << g.out << std::dec;
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << N << " " << name << " inputs";
+}
+
+TEST(FastMathGolden, ExpBits) {
+  static_assert(std::size(kExpGolden) >= 1000 + 30);
+  expect_golden(kExpGolden, [](double x) { return fm::exp(x); }, "fm::exp");
+}
+
+TEST(FastMathGolden, LogBits) {
+  static_assert(std::size(kLogGolden) >= 1000 + 50);
+  expect_golden(kLogGolden, [](double x) { return fm::log(x); }, "fm::log");
 }
 
 }  // namespace
